@@ -181,21 +181,13 @@ def extend(phi: HFunction, spec: DenseSubsetSpec) -> HFunction:
             "restriction has proper interval values on pieces"
         )
     for i, point in enumerate(g.points):
-        if spec.admits(point.x):
-            target = pw.punctured_completion_at(g, i)
-            if not iv.interval_eq(target, point.value):
-                raise NotHausdorffContinuous(
-                    f"restriction is not Hausdorff continuous at {point.x!r}"
-                )
-    points = []
-    for i, point in enumerate(g.points):
-        if spec.admits(point.x):
-            points.append(point)
-        else:
-            points.append(
-                pw.SpecialPoint(point.x, pw.punctured_completion_at(g, i))
+        if spec.admits(point.x) and not iv.interval_eq(
+            pw.punctured_completion_at(g, i), point.value
+        ):
+            raise NotHausdorffContinuous(
+                f"restriction is not Hausdorff continuous at {point.x!r}"
             )
-    return pw.normalize(HFunction(g.domain, tuple(points), g.pieces))
+    return baire.graph_completion(g, spec)
 
 
 def _op_def2(f: HFunction, g: HFunction, pointwise_op, declared) -> OpReport:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import piecewise as pw
-from .errors import DomainError, EngineError, EnvelopeError
+from .errors import DomainError, EngineError
 from .interval import Interval
 from .piecewise import DenseSubsetSpec, HFunction, Piece, SpecialPoint
 from .scalars import Scalar, to_scalar
@@ -56,17 +56,8 @@ def _envelope_function(
     lower = which == "lower"
     points: List[SpecialPoint] = []
     for i, point in enumerate(g.points):
-        ll, lr, ul, ur = pw.side_envelopes(g, i)
-        if lower:
-            candidates = [ll.liminf, lr.liminf]
-            if spec.admits(point.x):
-                candidates.append(point.value.lo)
-            v = min(candidates)
-        else:
-            candidates = [ul.limsup, ur.limsup]
-            if spec.admits(point.x):
-                candidates.append(point.value.hi)
-            v = max(candidates)
+        lo, hi = pw.completion_bounds(g, i, spec.admits(point.x))
+        v = lo if lower else hi
         points.append(SpecialPoint(point.x, Interval(v, v)))
     pieces: List[Piece] = []
     for p in g.pieces:
@@ -102,20 +93,14 @@ def graph_completion(f: HFunction, spec: Optional[DenseSubsetSpec] = None) -> HF
     completed value inverted."""
     spec = spec or DenseSubsetSpec.whole()
     g = _with_excluded(f, spec)
-    points: List[SpecialPoint] = []
-    for i, point in enumerate(g.points):
-        ll, lr, ul, ur = pw.side_envelopes(g, i)
-        lo_candidates = [ll.liminf, lr.liminf]
-        hi_candidates = [ul.limsup, ur.limsup]
-        if spec.admits(point.x):
-            lo_candidates.append(point.value.lo)
-            hi_candidates.append(point.value.hi)
-        lo, hi = min(lo_candidates), max(hi_candidates)
-        if lo > hi:
-            raise EnvelopeError(
-                f"completion inverted at {point.x!r}: declared envelopes inconsistent"
-            )
-        points.append(SpecialPoint(point.x, Interval(lo, hi)))
+    points = [
+        SpecialPoint(
+            point.x,
+            pw.completion_at(g, i) if spec.admits(point.x)
+            else pw.punctured_completion_at(g, i),
+        )
+        for i, point in enumerate(g.points)
+    ]
     return pw.normalize(HFunction(g.domain, tuple(points), tuple(g.pieces)))
 
 

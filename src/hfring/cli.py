@@ -5,9 +5,10 @@ validate.  Input is the function-definition JSON documented in `formats`;
 outputs are JSON reports and x,lo,hi CSV tables.  All randomness flows
 from --seed, so identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 1 check failed, 2 parse error, 3 unbound name,
-4 domain error, 5 operand not Hausdorff continuous, 6 order-limit route
-requested outside the piecewise-linear subclass.
+Exit codes: 0 success, 1 check failed or other engine error, 2 parse
+error, 3 unbound name, 4 domain error, 5 operand not Hausdorff continuous,
+6 order-limit route requested outside the piecewise-linear subclass.
+Engine errors map to codes through the one table `_EXIT_CODES`.
 """
 
 from __future__ import annotations
@@ -27,16 +28,9 @@ from .errors import (
     NotPiecewiseLinear,
     UnboundOperandError,
 )
-from .interval import Interval
 from .interval import distance as iv_distance
 from .piecewise import Domain, HFunction
-from .scalars import (
-    format_scalar,
-    parse_scalar,
-    set_mode,
-    set_sample_count,
-    set_seed,
-)
+from .scalars import format_scalar, parse_scalar, set_mode, set_seed
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -45,6 +39,16 @@ EXIT_UNBOUND = 3
 EXIT_DOMAIN = 4
 EXIT_NOT_HCONT = 5
 EXIT_NOT_PL = 6
+
+# engine errors reaching `main`, mapped to exit codes; the first match wins
+_EXIT_CODES = (
+    (ExprSyntaxError, EXIT_PARSE),
+    (UnboundOperandError, EXIT_UNBOUND),
+    (DomainError, EXIT_DOMAIN),
+    (NotHausdorffContinuous, EXIT_NOT_HCONT),
+    (NotPiecewiseLinear, EXIT_NOT_PL),
+    (EngineError, EXIT_FAILED),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,8 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="float-mode comparison tolerance")
     parser.add_argument("--seed", type=int, default=8201,
                         help="seed for every deterministic sampling")
-    parser.add_argument("--samples", type=int, default=128,
-                        help="sample count for sampled checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate a function at points")
@@ -142,6 +144,12 @@ class _CliError(Exception):
         self.code = code
 
 
+def _bound(bindings: Dict[str, HFunction], name: str) -> HFunction:
+    if name not in bindings:
+        raise UnboundOperandError(f"unbound name {name!r}")
+    return bindings[name]
+
+
 def _declared_map(declare_args) -> Optional[dict]:
     if not declare_args:
         return None
@@ -151,38 +159,21 @@ def _declared_map(declare_args) -> Optional[dict]:
     }
 
 
-def _op_result(args, bindings: Dict[str, HFunction]):
-    try:
-        tree = algebra.parse_operand_expr(args.expr)
-    except ExprSyntaxError as exc:
-        raise _CliError(EXIT_PARSE, str(exc)) from exc
+def _op_result(args, bindings: Dict[str, HFunction]) -> HFunction:
+    tree = algebra.parse_operand_expr(args.expr)
+    for name in algebra.operand_names(tree):
+        _bound(bindings, name)
     declared = _declared_map(args.declare)
-    try:
-        if isinstance(tree, algebra.OperandRef) and not declared:
-            return algebra.eval_expr(tree, bindings, mode="ring"), {}
-        if isinstance(tree, (algebra.TreePlus, algebra.TreeTimes)) and all(
-            isinstance(child, algebra.OperandRef) for child in (tree.left, tree.right)
-        ):
-            f = bindings[_name_of(tree.left)]
-            g = bindings[_name_of(tree.right)]
-            return _binary_op(tree, f, g, declared, args), {"binary": True}
-        if declared:
-            raise _CliError(
-                EXIT_PARSE, "--declare applies to a single binary operation"
-            )
-        return algebra.eval_expr(tree, bindings, mode="ring"), {}
-    except KeyError as exc:
-        raise _CliError(EXIT_UNBOUND, f"unbound name {exc.args[0]!r}") from exc
-    except UnboundOperandError as exc:
-        raise _CliError(EXIT_UNBOUND, str(exc)) from exc
-    except NotHausdorffContinuous as exc:
-        raise _CliError(EXIT_NOT_HCONT, str(exc)) from exc
-    except NotPiecewiseLinear as exc:
-        raise _CliError(EXIT_NOT_PL, str(exc)) from exc
-
-
-def _name_of(node) -> str:
-    return node.name
+    if isinstance(tree, algebra.OperandRef) and not declared:
+        return algebra.eval_expr(tree, bindings, mode="ring")
+    if isinstance(tree, (algebra.TreePlus, algebra.TreeTimes)) and all(
+        isinstance(child, algebra.OperandRef) for child in (tree.left, tree.right)
+    ):
+        f, g = bindings[tree.left.name], bindings[tree.right.name]
+        return _binary_op(tree, f, g, declared, args)
+    if declared:
+        raise _CliError(EXIT_PARSE, "--declare applies to a single binary operation")
+    return algebra.eval_expr(tree, bindings, mode="ring")
 
 
 def _binary_op(tree, f, g, declared, args) -> HFunction:
@@ -223,19 +214,14 @@ def _binary_op(tree, f, g, declared, args) -> HFunction:
 
 
 def cmd_eval(args) -> int:
-    bindings = _load(args.defs)
-    if args.name not in bindings:
-        raise _CliError(EXIT_UNBOUND, f"unbound name {args.name!r}")
-    f = bindings[args.name]
+    f = _bound(_load(args.defs), args.name)
     lines = []
     for text in args.points:
         try:
             x = parse_scalar(text)
-            value = f.eval_at(x)
-        except DomainError as exc:
-            raise _CliError(EXIT_DOMAIN, str(exc)) from exc
         except (ValueError, EngineError) as exc:
             raise _CliError(EXIT_PARSE, f"bad point {text!r}: {exc}") from exc
+        value = f.eval_at(x)
         lines.append(
             f"{format_scalar(x)} {format_scalar(value.lo)} {format_scalar(value.hi)}"
         )
@@ -245,7 +231,7 @@ def cmd_eval(args) -> int:
 
 def cmd_op(args) -> int:
     bindings = _load(args.defs)
-    result, _ = _op_result(args, bindings)
+    result = _op_result(args, bindings)
     _emit(formats.dumps_json(formats.hfunction_to_json(result)), args.output)
     return EXIT_OK
 
@@ -266,15 +252,8 @@ def cmd_verify_ring(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    bindings = _load(args.defs)
-    if args.name not in bindings:
-        raise _CliError(EXIT_UNBOUND, f"unbound name {args.name!r}")
-    try:
-        grid = baire.grid_sample(
-            bindings[args.name], parse_scalar(args.x0), parse_scalar(args.h), args.n
-        )
-    except DomainError as exc:
-        raise _CliError(EXIT_DOMAIN, str(exc)) from exc
+    f = _bound(_load(args.defs), args.name)
+    grid = baire.grid_sample(f, parse_scalar(args.x0), parse_scalar(args.h), args.n)
     with open(args.output, "w", encoding="utf-8", newline="") as fp:
         formats.grid_to_csv(grid, fp)
     return EXIT_OK
@@ -285,25 +264,16 @@ def _grid_window(args, result: HFunction):
         return parse_scalar(args.x0), parse_scalar(args.width)
     domain = result.domain
     if domain.lo is None or domain.hi is None:
-        raise _CliError(
-            EXIT_DOMAIN, "grid-converge needs --x0/--width on unbounded domains"
-        )
+        raise DomainError("grid-converge needs --x0/--width on unbounded domains")
     width = domain.hi - domain.lo
     return domain.lo + width / 16, width - width / 8
 
 
 def cmd_grid_converge(args) -> int:
     bindings = _load(args.defs)
-    try:
-        tree = algebra.parse_operand_expr(args.expr)
-        exact = algebra.eval_expr(tree, bindings, mode="ring")
-        pointwise = algebra.eval_expr(tree, bindings, mode="pointwise")
-    except ExprSyntaxError as exc:
-        raise _CliError(EXIT_PARSE, str(exc)) from exc
-    except UnboundOperandError as exc:
-        raise _CliError(EXIT_UNBOUND, str(exc)) from exc
-    except NotHausdorffContinuous as exc:
-        raise _CliError(EXIT_NOT_HCONT, str(exc)) from exc
+    tree = algebra.parse_operand_expr(args.expr)
+    exact = algebra.eval_expr(tree, bindings, mode="ring")
+    pointwise = algebra.eval_expr(tree, bindings, mode="pointwise")
     steps = [parse_scalar(h) for h in args.steps]
     x0, width = _grid_window(args, exact)
     # measurement points stay a fixed margin away from every jump of the
@@ -321,50 +291,38 @@ def cmd_grid_converge(args) -> int:
             if any(abs(x - j) <= margin for j in jumps):
                 continue
             worst = max(worst, float(iv_distance(smoothed.values[i], exact.eval_at(x))))
-        rows.append({"h": scalar_json(h), "max_error": worst})
+        rows.append({"h": formats.scalar_to_json(h), "max_error": worst})
     _emit(formats.dumps_json({"expr": args.expr, "errors": rows}), args.output)
     return EXIT_OK
 
 
-def scalar_json(value):
-    return formats.scalar_to_json(value)
-
-
 def cmd_compare_defs(args) -> int:
     bindings = _load(args.defs)
-    for name in (args.f, args.g):
-        if name not in bindings:
-            raise _CliError(EXIT_UNBOUND, f"unbound name {name!r}")
-    f, g = bindings[args.f], bindings[args.g]
+    f, g = _bound(bindings, args.f), _bound(bindings, args.g)
     if not (f.is_piecewise_linear and g.is_piecewise_linear):
-        raise _CliError(EXIT_NOT_PL, "compare-defs needs piecewise-linear operands")
-    try:
-        ops = [o.strip() for o in args.ops.split(",") if o.strip()]
-        report = {}
-        csv_rows: List[List[str]] = [["op", "x", "def3_lo", "def3_hi", "def1_lo", "def1_hi"]]
-        for op in ops:
-            if op == "plus":
-                d3 = order.oplus_def3(f, g, depth=args.depth)
-            elif op == "times":
-                d3 = order.otimes_def3(f, g, depth=args.depth)
-            else:
-                raise _CliError(EXIT_PARSE, f"unknown op {op!r} (use plus,times)")
-            reference = d3.witnesses["def1"]
-            xs = pw.func_sample_points(reference, 256, tag="cmp")
-            for x in xs:
-                a = d3.result.eval_at(x)
-                b = reference.eval_at(x)
-                csv_rows.append(
-                    [op] + [format_scalar(v) for v in (x, a.lo, a.hi, b.lo, b.hi)]
-                )
-            report[op] = {
-                "max_abs_deviation": float(d3.max_deviation),
-                "within_tol": float(d3.max_deviation) <= args.cmp_tol,
-            }
-    except NotHausdorffContinuous as exc:
-        raise _CliError(EXIT_NOT_HCONT, str(exc)) from exc
-    except NotPiecewiseLinear as exc:
-        raise _CliError(EXIT_NOT_PL, str(exc)) from exc
+        raise NotPiecewiseLinear("compare-defs needs piecewise-linear operands")
+    ops = [o.strip() for o in args.ops.split(",") if o.strip()]
+    report = {}
+    csv_rows: List[List[str]] = [["op", "x", "def3_lo", "def3_hi", "def1_lo", "def1_hi"]]
+    for op in ops:
+        if op == "plus":
+            d3 = order.oplus_def3(f, g, depth=args.depth)
+        elif op == "times":
+            d3 = order.otimes_def3(f, g, depth=args.depth)
+        else:
+            raise _CliError(EXIT_PARSE, f"unknown op {op!r} (use plus,times)")
+        reference = d3.witnesses["def1"]
+        xs = pw.func_sample_points(reference, 256, tag="cmp")
+        for x in xs:
+            a = d3.result.eval_at(x)
+            b = reference.eval_at(x)
+            csv_rows.append(
+                [op] + [format_scalar(v) for v in (x, a.lo, a.hi, b.lo, b.hi)]
+            )
+        report[op] = {
+            "max_abs_deviation": float(d3.max_deviation),
+            "within_tol": float(d3.max_deviation) <= args.cmp_tol,
+        }
     with open(args.out_csv, "w", encoding="utf-8", newline="") as fp:
         import csv as _csv
 
@@ -412,7 +370,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     set_mode(args.mode, args.tol)
     set_seed(args.seed)
-    set_sample_count(args.samples)
     handlers = {
         "eval": cmd_eval,
         "op": cmd_op,
@@ -427,21 +384,9 @@ def main(argv=None) -> int:
     except _CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
-    except ExprSyntaxError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except DomainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DOMAIN
-    except NotHausdorffContinuous as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NOT_HCONT
-    except NotPiecewiseLinear as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NOT_PL
     except EngineError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_FAILED
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -6,9 +6,15 @@ composition (``sin(1/x)`` and the like).  ``*`` and ``/`` bind tighter
 than ``+`` and ``-``; same-precedence operators associate left.
 
 Constants are stored as exact rationals regardless of engine mode; decimal
-literals are read with decimal semantics.  Polynomial subtrees have a
-canonical coefficient form, which is what makes piece equality decidable
-in rational mode.
+literals are read with decimal semantics.
+
+`canonical` turns every polynomial subtree into its coefficient form:
+`Const` for a constant, `X` for ``x`` itself, and otherwise a `Poly` node
+holding the ascending, trimmed exact coefficients.  Equal polynomials thus
+have equal nodes, which is what makes piece equality decidable in rational
+mode.  A `Poly` prints as the sum of monomials ``c*(x*x)`` that reparses
+to it, is evaluated by Horner's rule, and is returned unchanged by
+`canonical`; `poly_expr` is its one constructor.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import ExprEvalError, ExprSyntaxError
 from .scalars import RATIONAL, Scalar, format_scalar, get_mode
@@ -69,7 +75,15 @@ class Fun:
     arg: "Expr"
 
 
-Expr = Union[Const, Var, Add, Sub, Mul, Div, Neg, Fun]
+@dataclass(frozen=True)
+class Poly:
+    """Canonical polynomial of degree >= 1 other than ``x``: ascending exact
+    coefficients, highest one nonzero.  Built by `poly_expr` only."""
+
+    coeffs: Tuple[Fraction, ...]
+
+
+Expr = Union[Const, Var, Poly, Add, Sub, Mul, Div, Neg, Fun]
 
 X = Var()
 
@@ -212,6 +226,9 @@ _PREC_ATOM = 100
 
 
 def _prec(e: Expr) -> int:
+    if isinstance(e, Poly):
+        # ranked as the Add or Mul tree it prints as
+        return _PREC_ADD if sum(1 for c in e.coeffs if c != 0) > 1 else _PREC_MUL
     if isinstance(e, (Add, Sub)):
         return _PREC_ADD
     if isinstance(e, (Mul, Div)):
@@ -231,11 +248,14 @@ def _prec(e: Expr) -> int:
 
 def to_text(e: Expr) -> str:
     """Render an expression; printing then reparsing recovers the tree
-    (up to constant-folding of fraction literals)."""
+    (up to constant-folding of fraction literals, and up to `canonical`
+    for a `Poly`, which reparses as its sum of monomials)."""
     if isinstance(e, Const):
         return format_scalar(e.value)
     if isinstance(e, Var):
         return "x"
+    if isinstance(e, Poly):
+        return " + ".join(_monomial_text(c, k) for k, c in enumerate(e.coeffs) if c != 0)
     if isinstance(e, Neg):
         return "-" + _child(e.arg, _PREC_NEG)
     if isinstance(e, Fun):
@@ -258,6 +278,16 @@ def _child(e: Expr, minimum: int) -> str:
     return text
 
 
+def _monomial_text(c: Fraction, k: int) -> str:
+    """``c*x**k`` written as the left-nested product ``c*(x*x*x)``."""
+    if k == 0:
+        return format_scalar(c)
+    power = "*".join("x" * k)
+    if c == 1:
+        return power
+    return format_scalar(c) + "*" + (power if k == 1 else f"({power})")
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
@@ -275,6 +305,8 @@ def evaluate(e: Expr, x: Scalar) -> Scalar:
         return e.value if mode == RATIONAL else float(e.value)
     if isinstance(e, Var):
         return x
+    if isinstance(e, Poly):
+        return poly_eval(e.coeffs if mode == RATIONAL else [float(c) for c in e.coeffs], x)
     if isinstance(e, Neg):
         return -evaluate(e.arg, x)
     if isinstance(e, Add):
@@ -320,6 +352,8 @@ def eval_finite(e: Expr, x: Scalar) -> Scalar:
 def poly_coeffs(e: Expr) -> Optional[List[Fraction]]:
     """Ascending coefficients when the expression is a polynomial in x
     (division allowed by nonzero constants only), else None."""
+    if isinstance(e, Poly):
+        return list(e.coeffs)
     if isinstance(e, Const):
         return [e.value]
     if isinstance(e, Var):
@@ -327,34 +361,20 @@ def poly_coeffs(e: Expr) -> Optional[List[Fraction]]:
     if isinstance(e, Neg):
         inner = poly_coeffs(e.arg)
         return None if inner is None else [-c for c in inner]
-    if isinstance(e, (Add, Sub)):
+    if isinstance(e, (Add, Sub, Mul, Div)):
         a = poly_coeffs(e.left)
-        b = poly_coeffs(e.right)
-        if a is None or b is None:
+        b = None if a is None else poly_coeffs(e.right)
+        if b is None:
             return None
-        sign = 1 if isinstance(e, Add) else -1
-        out = [Fraction(0)] * max(len(a), len(b))
-        for i, c in enumerate(a):
-            out[i] += c
-        for i, c in enumerate(b):
-            out[i] += sign * c
-        return _trim(out)
-    if isinstance(e, Mul):
-        a = poly_coeffs(e.left)
-        b = poly_coeffs(e.right)
-        if a is None or b is None:
+        if isinstance(e, Add):
+            return _padd(a, b)
+        if isinstance(e, Sub):
+            return _padd(a, [-c for c in b])
+        if isinstance(e, Mul):
+            return _pmul(a, b)
+        if len(b) != 1 or b[0] == 0:
             return None
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return _trim(out)
-    if isinstance(e, Div):
-        a = poly_coeffs(e.left)
-        b = poly_coeffs(e.right)
-        if a is None or b is None or len(b) != 1 or b[0] == 0:
-            return None
-        return _trim([c / b[0] for c in a])
+        return [c / b[0] for c in a]
     return None
 
 
@@ -367,10 +387,8 @@ def _trim(coeffs: List[Fraction]) -> List[Fraction]:
 def rational_coeffs(e: Expr) -> Optional[Tuple[List[Fraction], List[Fraction]]]:
     """(numerator, denominator) coefficient lists for a rational function,
     without cancellation; None when the tree contains sin/cos/sqrt."""
-    if isinstance(e, Const):
-        return [e.value], [Fraction(1)]
-    if isinstance(e, Var):
-        return [Fraction(0), Fraction(1)], [Fraction(1)]
+    if isinstance(e, (Const, Var, Poly)):
+        return poly_coeffs(e), [Fraction(1)]
     if isinstance(e, Neg):
         inner = rational_coeffs(e.arg)
         if inner is None:
@@ -480,12 +498,18 @@ def _poly_gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
     return a
 
 
-def _sign_at(coeffs: List[Fraction], x) -> int:
-    if x is None:
-        return 0
+def poly_eval(coeffs: Sequence, x):
+    """Ascending coefficients evaluated at x by Horner's rule."""
     value = coeffs[-1]
     for c in reversed(coeffs[:-1]):
         value = value * x + c
+    return value
+
+
+def _sign_at(coeffs: List[Fraction], x) -> int:
+    if x is None:
+        return 0
+    value = poly_eval(coeffs, x)
     return (value > 0) - (value < 0)
 
 
@@ -556,44 +580,29 @@ def limit_at_infinity(e: Expr, sign: int) -> Optional[Fraction]:
 
 
 def canonical(e: Expr) -> Expr:
-    """Canonicalize: polynomial subtrees become coefficient form; constant
-    subtrees fold; additive/multiplicative identities drop out.  Structural
-    equality of canonical polynomials is coefficient equality."""
+    """Canonicalize: polynomial subtrees become coefficient form (`Const`,
+    `X` or `Poly`); constant subtrees fold; additive/multiplicative
+    identities drop out.  Structural equality of canonical polynomials is
+    coefficient equality."""
+    if isinstance(e, (Const, Var, Poly)):
+        return e
     coeffs = poly_coeffs(e)
     if coeffs is not None:
         return poly_expr(coeffs)
     return _fold(e)
 
 
-def poly_expr(coeffs: List[Fraction]) -> Expr:
+def poly_expr(coeffs: Sequence[Fraction]) -> Expr:
+    """Canonical node of ascending coefficients: Const, X or Poly."""
     coeffs = _trim(list(coeffs))
-    terms: List[Expr] = []
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        terms.append(_poly_term(c, k))
-    if not terms:
-        return Const(Fraction(0))
-    node = terms[0]
-    for term in terms[1:]:
-        node = Add(node, term)
-    return node
-
-
-def _poly_term(c: Fraction, k: int) -> Expr:
-    if k == 0:
-        return Const(c)
-    power: Expr = X
-    for _ in range(k - 1):
-        power = Mul(power, X)
-    if c == 1:
-        return power
-    return Mul(Const(c), power)
+    if len(coeffs) == 1:
+        return Const(coeffs[0])
+    if coeffs == [0, 1]:
+        return X
+    return Poly(tuple(coeffs))
 
 
 def _fold(e: Expr) -> Expr:
-    if isinstance(e, (Const, Var)):
-        return e
     if isinstance(e, Neg):
         arg = canonical(e.arg)
         if isinstance(arg, Const):

@@ -16,6 +16,10 @@ Function definition format (also the CLI input):
       }
     }
 
+The writer stores only envelopes that are declared or estimated.  Evaluated
+envelopes are not stored: reading a piece back recomputes them exactly, so
+they keep their provenance.
+
 Scalars serialize as integers where possible and as exact strings
 otherwise in rational mode ("0.25" or "1/3"), and as plain numbers in
 float mode.  Grid functions serialize to CSV with the fixed header
@@ -127,7 +131,9 @@ def hfunction_from_json(data: dict) -> HFunction:
 
 
 def _envelope_to_json(env: Optional[pw.EndEnvelope]):
-    if env is None:
+    # evaluated envelopes are exact limits that make_piece recomputes on load;
+    # written out, they would come back as declared data
+    if env is None or env.provenance == pw.EVALUATED:
         return None
     return {
         "liminf": scalar_to_json(env.liminf),

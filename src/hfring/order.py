@@ -474,12 +474,9 @@ def order_limit_stabilized(seq: FunctionSequence, depth: int) -> LimitResult:
         if not is_collapse:
             points.append((x, value))
             continue
-        left, right = pieces[i], pieces[i + 1]
-        anchor = iv.hull(
-            left.lower_right.liminf, left.upper_right.limsup,
-            right.lower_left.liminf, right.upper_left.limsup,
-        )
-        points.append((x, anchor))  # placeholder; completion recomputes it
+        # placeholder: fis/fsi give the same value for any point value inside
+        # the hull of the abutting envelopes, and the left lower limit is one
+        points.append((x, Interval.point(pieces[i].lower_right.liminf)))
     phi = pw.hfunction(e8.domain, points, pieces, validate=False)
     limit = pw.normalize(completion(phi))
     residual = _limit_residual(limit, e8, spans)

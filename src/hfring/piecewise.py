@@ -283,43 +283,23 @@ class DenseSubsetSpec:
 # ---------------------------------------------------------------------------
 
 
-def _poly_eval(coeffs: Sequence[Fraction], a):
-    out = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        out = out * a + c
-    return out
-
-
-def _synthetic_div(coeffs: Sequence[Fraction], a: Fraction) -> List[Fraction]:
-    """Divide a polynomial by (x - a), assuming a is a root."""
-    rev = list(reversed(list(coeffs)))
-    quotient: List[Fraction] = []
-    acc = Fraction(0)
-    for c in rev[:-1]:
-        acc = acc * a + c
-        quotient.append(acc)
-    return list(reversed(quotient))
-
-
 def rational_limit_at(e: ex.Expr, at: Scalar) -> Optional[Scalar]:
     """Exact one-sided limit of a rational expression at a finite point,
     cancelling removable singularities; None when the value diverges."""
     rc = ex.rational_coeffs(e)
     if rc is None:
         return None
-    num, den = [list(c) for c in rc]
+    num, den = rc
     a = Fraction(at) if not isinstance(at, float) else Fraction(str(at))
-    while _poly_eval(den, a) == 0 and _poly_eval(num, a) == 0:
+    while ex.poly_eval(den, a) == 0 and ex.poly_eval(num, a) == 0:
         if den == [Fraction(0)] or num == [Fraction(0)]:
             break
-        num = _synthetic_div(num, a) if len(num) > 1 else num
-        den = _synthetic_div(den, a) if len(den) > 1 else den
-        if len(num) == 0 or len(den) == 0:
-            return None
-    dval = _poly_eval(den, a)
+        num, _ = ex._poly_divmod(num, [-a, Fraction(1)])
+        den, _ = ex._poly_divmod(den, [-a, Fraction(1)])
+    dval = ex.poly_eval(den, a)
     if dval == 0:
         return None
-    value = _poly_eval(num, a) / dval
+    value = ex.poly_eval(num, a) / dval
     return value if get_mode() == RATIONAL else float(value)
 
 
@@ -762,12 +742,24 @@ def side_envelopes(f: HFunction, i: int) -> Tuple[EndEnvelope, EndEnvelope, EndE
     return slots  # type: ignore[return-value]
 
 
-def punctured_completion_at(f: HFunction, i: int) -> Interval:
-    """Graph-completion value at special point i computed from the abutting
-    envelopes only (the point itself excluded from the dense set)."""
+def completion_bounds(f: HFunction, i: int, with_point: bool) -> Tuple[Scalar, Scalar]:
+    """(min of the lower data, max of the upper data) at special point i:
+    the abutting envelopes, and the point value itself when ``with_point``.
+    Every completion and envelope-operator value at a breakpoint is read
+    from here."""
     ll, lr, ul, ur = side_envelopes(f, i)
     lo = min(ll.liminf, lr.liminf)
     hi = max(ul.limsup, ur.limsup)
+    if with_point:
+        value = f.points[i].value
+        lo, hi = min(lo, value.lo), max(hi, value.hi)
+    return lo, hi
+
+
+def punctured_completion_at(f: HFunction, i: int) -> Interval:
+    """Graph-completion value at special point i computed from the abutting
+    envelopes only (the point itself excluded from the dense set)."""
+    lo, hi = completion_bounds(f, i, False)
     if lo > hi:
         raise EnvelopeError(
             f"completion inverted at {f.points[i].x!r}: declared envelopes inconsistent"
@@ -777,11 +769,7 @@ def punctured_completion_at(f: HFunction, i: int) -> Interval:
 
 def completion_at(f: HFunction, i: int) -> Interval:
     """Graph-completion value at special point i with the point included."""
-    ll, lr, ul, ur = side_envelopes(f, i)
-    value = f.points[i].value
-    lo = min(ll.liminf, lr.liminf, value.lo)
-    hi = max(ul.limsup, ur.limsup, value.hi)
-    return Interval(lo, hi)
+    return Interval(*completion_bounds(f, i, True))
 
 
 def is_S_continuous(f: HFunction) -> bool:

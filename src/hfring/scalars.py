@@ -28,12 +28,10 @@ Scalar = Union[Fraction, float]
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_SEED = 8201
-DEFAULT_SAMPLE_COUNT = 128
 
 _mode = RATIONAL
 _tolerance = DEFAULT_TOLERANCE
 _seed = DEFAULT_SEED
-_sample_count = DEFAULT_SAMPLE_COUNT
 
 
 def set_mode(mode: str, tolerance: Optional[float] = None) -> None:
@@ -64,17 +62,6 @@ def set_seed(seed: int) -> None:
 
 def get_seed() -> int:
     return _seed
-
-
-def set_sample_count(count: int) -> None:
-    global _sample_count
-    if count < 1:
-        raise EngineError("sample count must be at least 1")
-    _sample_count = int(count)
-
-
-def get_sample_count() -> int:
-    return _sample_count
 
 
 @contextmanager

@@ -16,7 +16,6 @@ def rational_mode():
     """Each test starts in exact mode with default settings."""
     scalars.set_mode(scalars.RATIONAL)
     scalars.set_seed(scalars.DEFAULT_SEED)
-    scalars.set_sample_count(scalars.DEFAULT_SAMPLE_COUNT)
     yield
     scalars.set_mode(scalars.RATIONAL, scalars.DEFAULT_TOLERANCE)
 

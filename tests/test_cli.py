@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from hfring import algebra, cli
+
 from conftest import DATA_DIR
 
 STEP = os.path.join(DATA_DIR, "step_pair.json")
@@ -20,6 +22,10 @@ def run_cli(*args, expect: int = 0):
     )
     assert result.returncode == expect, result.stderr or result.stdout
     return result
+
+
+def test_samples_flag_removed():
+    run_cli("--samples", "5", "verify-ring", "--count", "2", expect=2)
 
 
 class TestEval:
@@ -113,6 +119,33 @@ class TestOp:
         }))
         run_cli("op", str(defs), "bad + bad", expect=5)
 
+    def test_unbound_operand_exit_3(self):
+        run_cli("op", STEP, "f + h", expect=3)
+
+    def test_engine_key_error_is_not_unbound_name(self, monkeypatch):
+        def broken(f, g, declared=None):
+            raise KeyError("f")
+
+        monkeypatch.setattr(algebra, "oplus_def1", broken)
+        with pytest.raises(KeyError):
+            cli.main(["op", STEP, "f + g"])
+
+    def test_syntax_error_exit_2(self):
+        run_cli("op", STEP, "f + (g", expect=2)
+
+    def test_output_validates(self, tmp_path):
+        defs = tmp_path / "defs.json"
+        defs.write_text(json.dumps({
+            "functions": {"f": {
+                "domain": [0, 1],
+                "pieces": [{"on": [0, 1], "lower": "x"}],
+                "points": [],
+            }}
+        }))
+        out_file = tmp_path / "r.json"
+        run_cli("op", str(defs), "f + f", "-o", str(out_file))
+        run_cli("validate", str(out_file))
+
 
 class TestVerifyRing:
     def test_small_suite_exit_0(self, tmp_path):
@@ -161,6 +194,9 @@ class TestGridConverge:
                       "--h", "0.25", "0.125", "--x0", "-2", "--width", "4").stdout
         data = json.loads(out)
         assert [row["max_error"] for row in data["errors"]] == [0.0, 0.0]
+
+    def test_unbound_operand_exit_3(self):
+        run_cli("grid-converge", STEP, "f + h", "--h", "0.5", expect=3)
 
     def test_single_h(self):
         out = run_cli("grid-converge", STEP, "f", "--h", "0.5",

@@ -69,10 +69,51 @@ class TestRoundTrip:
             assert reparsed == tree, ex.to_text(tree)
 
 
+class TestPrintedCanonicalForms:
+    @pytest.mark.parametrize("text, printed", [
+        ("2*x*x", "2*(x*x)"),
+        ("x*x - 1/3*x + 5", "5 + -1/3*x + x*x"),
+        ("-x", "-1*x"),
+        ("-(x*x)", "-1*(x*x)"),
+        ("(x+1)/(x-2)", "(1 + x)/(-2 + x)"),
+        ("sin(x*x+1)", "sin(1 + x*x)"),
+        ("1/2 + x", "0.5 + x"),
+    ])
+    def test_printed_form(self, text, printed):
+        assert ex.to_text(ex.canonical(ex.parse(text))) == printed
+
+
+class TestPolyNode:
+    def test_constructor_picks_the_node(self):
+        assert ex.poly_expr([Fraction(3), Fraction(0)]) == ex.const(3)
+        assert ex.poly_expr([Fraction(0), Fraction(1)]) is ex.X
+        p = ex.poly_expr([Fraction(1), Fraction(0), Fraction(-2), Fraction(0)])
+        assert p == ex.Poly((Fraction(1), Fraction(0), Fraction(-2)))
+
+    def test_canonical_returns_poly_unchanged(self):
+        p = ex.canonical(ex.parse("(x+1)*(x-1)"))
+        assert isinstance(p, ex.Poly)
+        assert ex.canonical(p) is p
+
+    def test_analysis_reads_coefficients(self):
+        p = ex.poly_expr([Fraction(5), Fraction(-1, 3)])
+        assert ex.poly_coeffs(p) == [Fraction(5), Fraction(-1, 3)]
+        assert ex.degree(p) == 1
+        assert ex.linear_coeffs(p) == (Fraction(-1, 3), Fraction(5))
+        assert ex.rational_coeffs(p) == ([Fraction(5), Fraction(-1, 3)], [Fraction(1)])
+
+    def test_float_mode_evaluates_poly(self):
+        p = ex.canonical(ex.parse("x*x - 1/3*x + 5"))
+        scalars.set_mode(scalars.FLOAT)
+        assert ex.evaluate(p, 3.0) == pytest.approx(13.0)
+
+
 class TestEvaluation:
     def test_rational_exact(self):
         tree = ex.parse("(2*x+1)/(x-3)")
         assert ex.evaluate(tree, Fraction(1)) == Fraction(3, -2)
+        assert ex.evaluate(ex.canonical(tree), Fraction(1)) == Fraction(3, -2)
+        assert ex.evaluate(ex.canonical(ex.parse("2*x*x - x")), Fraction(1, 2)) == 0
 
     def test_pole_raises(self):
         with pytest.raises(ExprEvalError):
@@ -96,6 +137,7 @@ class TestAnalysis:
         assert ex.classify(ex.parse("1/x")) == "rational"
         assert ex.classify(ex.parse("x/2")) == "polynomial"
         assert ex.classify(ex.parse("sin(1/x)")) == "transcendental"
+        assert ex.classify(ex.canonical(ex.parse("2*x*x - 1"))) == "polynomial"
 
     def test_piece_kind_tag(self):
         from hfring import piecewise as pw
@@ -109,17 +151,21 @@ class TestAnalysis:
     def test_poly_coeffs(self):
         assert ex.poly_coeffs(ex.parse("(x+1)*(x-1)")) == [Fraction(-1), Fraction(0), Fraction(1)]
         assert ex.poly_coeffs(ex.parse("1/x")) is None
+        assert ex.poly_coeffs(ex.parse("(x*x)/2 - 1/x")) is None
+        product = ex.canonical(ex.parse("(x+1)*(x-1)"))
+        assert ex.poly_coeffs(ex.Mul(product, ex.X)) == [0, -1, 0, 1]
 
     def test_degree_and_linearity(self):
         assert ex.degree(ex.parse("5")) == 0
         assert ex.degree(ex.parse("x*x*x")) == 3
         assert ex.is_linear(ex.parse("3 - x"))
         assert not ex.is_linear(ex.parse("x*x"))
+        assert ex.degree(ex.canonical(ex.parse("x*x*x"))) == 3
 
     def test_canonical_polynomial_equality(self):
         a = ex.parse("x + x")
         b = ex.parse("2*x")
-        assert ex.canonical(a) == ex.canonical(b)
+        assert ex.canonical(a) == ex.canonical(b) == ex.poly_expr([0, 2])
         assert ex.exact_equal(ex.parse("x + -x"), ex.parse("0"))
 
     def test_rational_cross_multiplication_equality(self):
@@ -127,8 +173,17 @@ class TestAnalysis:
         assert ex.exact_equal(ex.parse("1/(2*x)"), ex.parse("(1/2)/x"))
         assert not ex.exact_equal(ex.parse("1/x"), ex.parse("1/(x+1)"))
 
+    def test_count_poly_roots_inside(self):
+        coeffs = ex.poly_coeffs(ex.parse("(x-1)*(x-1)*(x+2)"))
+        assert ex.count_poly_roots_inside(coeffs, Fraction(-3), Fraction(2)) == 2
+        assert ex.count_poly_roots_inside(coeffs, Fraction(0), Fraction(1)) == 0
+        assert ex.count_poly_roots_inside(coeffs, Fraction(1), None) == 0
+        assert ex.count_poly_roots_inside(coeffs, None, None) == 2
+
     def test_limit_at_infinity(self):
         assert ex.limit_at_infinity(ex.parse("(2*x+1)/(x-3)"), 1) == Fraction(2)
         assert ex.limit_at_infinity(ex.parse("1/x"), 1) == Fraction(0)
         assert ex.limit_at_infinity(ex.parse("x*x"), 1) is None
+        assert ex.limit_at_infinity(ex.canonical(ex.parse("x*x")), 1) is None
+        assert ex.limit_at_infinity(ex.canonical(ex.parse("(x*x+1)/(2*x*x)")), -1) == Fraction(1, 2)
         assert ex.limit_at_infinity(ex.parse("sin(x)"), 1) is None

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from hfring import formats
+from hfring import baire, formats
+from hfring import expr as ex
 from hfring import piecewise as pw
 from hfring import scalars, suite
 from hfring.baire import GridFunction, grid_sample
@@ -51,13 +52,30 @@ class TestFunctionJson:
             data = formats.hfunction_to_json(f)
             back = formats.hfunction_from_json(json.loads(json.dumps(data)))
             assert pw.func_equal(back, f)
+            # evaluated envelopes are recomputed, not read back as declared
+            assert back.pieces == f.pieces
 
     def test_declared_envelopes_survive(self, float_mode):
         loaded = formats.load_defs(f"{DATA_DIR}/oscillation_pair.json")
         f = loaded["f"]
-        env = f.pieces[0].lower_right
-        assert env.provenance == "declared"
-        assert env.liminf == -1 and env.limsup == 1
+        written = formats.hfunction_from_json(formats.hfunction_to_json(f))
+        for g in (f, written):
+            env = g.pieces[0].lower_right
+            assert env.provenance == "declared"
+            assert env.liminf == -1 and env.limsup == 1
+
+    def test_proper_piece_completion_survives_round_trip(self):
+        # a proper piece [0, 1] on both sides of x = 1, with point value 0
+        f = pw.hfunction(
+            Domain.of(0, 2),
+            [(pw.to_scalar(1), Interval.of(0, 0))],
+            [pw.make_piece(pw.to_scalar(0), pw.to_scalar(1), ex.parse("0"), ex.parse("1")),
+             pw.make_piece(pw.to_scalar(1), pw.to_scalar(2), ex.parse("0"), ex.parse("1"))],
+        )
+        back = formats.hfunction_from_json(
+            json.loads(json.dumps(formats.hfunction_to_json(f)))
+        )
+        assert baire.graph_completion(back).eval_at(1) == Interval.of(0, 1)
 
     def test_upper_defaults_to_lower(self):
         data = {

@@ -53,6 +53,18 @@ class TestEvalAt:
             )
 
 
+class TestRationalLimit:
+    def test_removable_singularities_cancel(self):
+        assert pw.rational_limit_at(ex.parse("(x*x-1)/(x-1)"), F(1)) == 2
+        double = ex.parse("(x-1)*(x-1)*(x+3)/((x-1)*(x-1)*(x+1))")
+        assert pw.rational_limit_at(double, F(1)) == 2
+        assert pw.rational_limit_at(ex.canonical(ex.parse("x*x - 3*x")), F(3)) == 0
+
+    def test_pole_has_no_limit(self):
+        assert pw.rational_limit_at(ex.parse("(x+1)/((x-1)*(x-1))"), F(1)) is None
+        assert pw.rational_limit_at(ex.parse("sin(x)"), F(0)) is None
+
+
 class TestAlign:
     def test_union_of_special_points(self):
         dom = Domain.of(-2, 2)
@@ -242,6 +254,21 @@ class TestContinuityPredicates:
     def test_s_suite_is_s_continuous(self):
         for f in suite.s_continuous_suite(6, 40):
             assert pw.is_S_continuous(f)
+
+
+class TestCompletionBounds:
+    def test_with_and_without_point(self):
+        f = pw.hfunction(
+            Domain.of(-1, 1),
+            [(F(0), Interval.of(-1, 2))],
+            [pw.make_piece(F(-1), F(0), ex.parse("0")),
+             pw.make_piece(F(0), F(1), ex.parse("1"))],
+            validate=False,
+        )
+        assert pw.completion_bounds(f, 0, True) == (-1, 2)
+        assert pw.completion_bounds(f, 0, False) == (0, 1)
+        assert pw.completion_at(f, 0) == Interval.of(-1, 2)
+        assert pw.punctured_completion_at(f, 0) == Interval.of(0, 1)
 
 
 class TestIdentitySurrogate:
