@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Dict, List, Optional
 
@@ -120,7 +121,21 @@ def build_parser() -> argparse.ArgumentParser:
                            help="Hausdorff continuity and envelope validation")
     p_val.add_argument("defs")
     p_val.add_argument("-o", "--output", default="-")
+    for command in sub.choices.values():
+        _accept_negative_fractions(command)
     return parser
+
+
+def _accept_negative_fractions(parser: argparse.ArgumentParser) -> None:
+    """Read arguments such as ``-1/2`` as numbers, not as options.
+
+    Before Python 3.13, argparse takes for a negative number only an
+    integer or a decimal, and reads any other argument that starts with
+    ``-`` as an unknown option.  No command has an option that starts with
+    a digit, so ``-`` followed by a digit or by ``.digit`` is always a
+    number, as Python 3.13 reads it.
+    """
+    parser._negative_number_matcher = re.compile(r"-\.?\d")
 
 
 def _emit(text: str, target: str) -> None:

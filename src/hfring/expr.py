@@ -559,11 +559,14 @@ def count_poly_roots_inside(coeffs: List[Fraction], lo, hi) -> int:
 
 def limit_at_infinity(e: Expr, sign: int) -> Optional[Fraction]:
     """Exact limit of a rational function as x tends to +/- infinity;
-    None when the limit is infinite or the expression is transcendental."""
+    None when the limit is infinite or the expression is transcendental.
+    Raises ExprEvalError when the denominator is identically zero."""
     rc = rational_coeffs(e)
     if rc is None:
         return None
     num, den = rc
+    if den == [Fraction(0)]:
+        raise ExprEvalError(f"division by zero in {to_text(e)}")
     dn, dd = len(num) - 1, len(den) - 1
     if num == [Fraction(0)]:
         return Fraction(0)
@@ -670,6 +673,8 @@ def exact_equal(a: Expr, b: Expr) -> bool:
     ca, cb = canonical(a), canonical(b)
     if ca == cb:
         return True
+    if isinstance(ca, (Const, Var, Poly)) and isinstance(cb, (Const, Var, Poly)):
+        return False  # the coefficient form of a polynomial is unique
     ra, rb = rational_coeffs(ca), rational_coeffs(cb)
     if ra is not None and rb is not None:
         return _pmul(ra[0], rb[1]) == _pmul(rb[0], ra[1])

@@ -19,6 +19,12 @@ far the deepest element still is from the completed limit.  Sequences
 whose piece expressions keep drifting (instead of their breakpoints)
 stabilize only up to the float-mode tolerance and raise ConvergenceError
 in rational mode.
+
+`max_deviation`, the distance the def3 route reports from the completion
+route, is an exact supremum on every aligned piece where the bound
+difference is constant, or a polynomial of degree <= 2 on a bounded piece
+(every piece of a def3 operation on a bounded domain); it samples only the
+other pieces.
 """
 
 from __future__ import annotations
@@ -235,35 +241,42 @@ def _lower_envelope(cands: List[_PL]) -> _PL:
     probe_l = _tail_probe(cands, xs[0], left=True)
     probe_r = _tail_probe(cands, xs[-1], left=False)
     grid = [probe_l] + xs + [probe_r]
-    knot_xs = set(xs)
-    for u, w in zip(grid, grid[1:]):
-        if not u < w:
-            continue
-        # candidates are linear inside the cell; collect pairwise crossings
-        lines = [(c.at(u), (c.at(w) - c.at(u)) / (w - u)) for c in cands]
-        for i in range(len(lines)):
-            vi, si = lines[i]
-            for j in range(i + 1, len(lines)):
-                vj, sj = lines[j]
-                if si == sj:
-                    continue
-                x_cross = u + (vj - vi) / (si - sj)
-                if u < x_cross < w:
-                    knot_xs.add(x_cross)
-    ordered = sorted(knot_xs)
-    knots = [(x, min(c.at(x) for c in cands)) for x in ordered]
-    left_winner = min(cands, key=lambda c: (c.at(probe_l), -_tail_slope(c, left=True)))
-    right_winner = min(cands, key=lambda c: (c.at(probe_r), _tail_slope(c, left=False)))
-    return _PL(knots, _tail_slope(left_winner, True), _tail_slope(right_winner, False))
+    # every candidate is evaluated once per grid abscissa; between two
+    # neighbouring abscissae each candidate is one line
+    table = [[c.at(x) for c in cands] for x in grid]
+    knots = {x: min(row) for x, row in zip(xs, table[1:-1])}
+    for k, (u, w) in enumerate(zip(grid, grid[1:])):
+        if u < w:
+            lines = [(vu, (vw - vu) / (w - u)) for vu, vw in zip(table[k], table[k + 1])]
+            knots.update(_cell_kinks(lines, u, w))
+    left_winner = min(zip(table[0], cands), key=lambda vc: (vc[0], -vc[1].left_slope))[1]
+    right_winner = min(zip(table[-1], cands), key=lambda vc: (vc[0], vc[1].right_slope))[1]
+    return _PL(sorted(knots.items()), left_winner.left_slope, right_winner.right_slope)
 
 
-def _tail_slope(c: _PL, left: bool) -> Scalar:
-    return c.left_slope if left else c.right_slope
+def _cell_kinks(lines, u: Scalar, w: Scalar) -> List[Tuple[Scalar, Scalar]]:
+    """Kinks strictly inside (u, w) of the lower envelope of ``lines``,
+    given as (value at u, slope).  The sweep starts on the lowest line just
+    right of u and moves to the first line of smaller slope to cross it."""
+    v, s = min(lines)
+    x = u
+    kinks = []
+    while True:
+        step = None
+        for vj, sj in lines:
+            if sj < s:
+                x_cross = u + (vj - v) / (s - sj)
+                if x < x_cross and (step is None or (x_cross, sj) < step[:2]):
+                    step = (x_cross, sj, vj)
+        if step is None or not step[0] < w:
+            return kinks
+        x, s, v = step
+        kinks.append((x, v + s * (x - u)))
 
 
 def _tail_probe(cands: List[_PL], edge: Scalar, left: bool) -> Scalar:
     crossings = [edge]
-    lines = [(c.at(edge), _tail_slope(c, left)) for c in cands]
+    lines = [(c.at(edge), c.left_slope if left else c.right_slope) for c in cands]
     for i in range(len(lines)):
         vi, si = lines[i]
         for j in range(i + 1, len(lines)):
@@ -278,13 +291,14 @@ def _tail_probe(cands: List[_PL], edge: Scalar, left: bool) -> Scalar:
 
 def _pl_to_hfunction(env: _PL, domain: pw.Domain) -> HFunction:
     interior = [(x, v) for (x, v) in env.knots if domain.contains(x)]
-    bounds: List[Optional[Scalar]] = (
-        [domain.lo] + [x for (x, _) in interior] + [domain.hi]
-    )
+    ends = [(domain.lo, None)] + interior + [(domain.hi, None)]
     pieces = []
-    for u, w in zip(bounds, bounds[1:]):
-        x1, x2 = _line_probes(u, w)
-        v1, v2 = env.at(x1), env.at(x2)
+    for (u, v1), (w, v2) in zip(ends, ends[1:]):
+        x1, x2 = u, w
+        if v1 is None or v2 is None:
+            # a piece touching a domain end reads its line off two probes
+            x1, x2 = _line_probes(u, w)
+            v1, v2 = env.at(x1), env.at(x2)
         slope = (v2 - v1) / (x2 - x1)
         intercept = v1 - slope * x1
         expr = ex.poly_expr([_as_fraction(intercept), _as_fraction(slope)])
@@ -666,7 +680,7 @@ def _def3(f: HFunction, g: HFunction, op: str, depth: int) -> algebra.OpReport:
     reference = (
         algebra.oplus_def1(f, g) if op == "plus" else algebra.otimes_def1(f, g)
     )
-    deviation = max_deviation(result.limit, reference.result, samples=1000)
+    deviation = max_deviation(result.limit, reference.result)
     pointwise_op = pw.pointwise_add if op == "plus" else pw.pointwise_mul
     return algebra.OpReport(
         result=result.limit,
@@ -689,16 +703,46 @@ def otimes_def3(f: HFunction, g: HFunction, depth: int = 4096) -> algebra.OpRepo
     return _def3(f, g, "times", depth)
 
 
-def max_deviation(f: HFunction, g: HFunction, samples: int = 1000) -> Scalar:
-    """Largest endpointwise distance over deterministic sample points plus
-    both special-point sets."""
-    xs = pw.func_sample_points(f, samples, tag="dev")
-    xs.extend(p.x for p in f.points)
-    xs.extend(p.x for p in g.points)
+def max_deviation(f: HFunction, g: HFunction) -> Scalar:
+    """Supremum over the domain of the endpointwise distance between f and g.
+
+    Both are aligned to the union of their special points, where the values
+    are compared directly.  On each aligned piece each bound contributes the
+    sup of |difference|: 0 for identical expressions, |c| for a constant
+    difference c, and for a polynomial difference of degree <= 2 on a
+    bounded piece the largest |difference| at the two ends (one-sided
+    limits) and at a vertex strictly inside.  Every other piece (degree >= 3,
+    non-polynomial, or a non-constant difference on an unbounded piece)
+    falls back to deterministic samples, 1000 spread over the pieces.
+    """
+    f, g = pw.align(f, g)
     worst = to_scalar(0)
-    for x in xs:
-        if not f.domain.contains(x):
-            continue
-        d = iv.distance(f.eval_at(x), g.eval_at(x))
-        worst = max(worst, d)
+    for p, q in zip(f.points, g.points):
+        worst = max(worst, iv.distance(p.value, q.value))
+    per_piece = max(1, 1000 // len(f.pieces))
+    for i, (a, b) in enumerate(zip(f.pieces, g.pieces)):
+        for bound in ("lower", "upper"):
+            ea, eb = getattr(a, bound), getattr(b, bound)
+            if ea != eb:
+                d = _bound_deviation(ea, eb, a.lo, a.hi, per_piece, ("dev", i, bound))
+                worst = max(worst, d)
     return worst
+
+
+def _bound_deviation(ea, eb, lo, hi, samples: int, tag) -> Scalar:
+    ca, cb = ex.poly_coeffs(ea), ex.poly_coeffs(eb)
+    if ca is not None and cb is not None:
+        d = ex._padd(ca, [-c for c in cb])
+        if len(d) == 1:
+            return to_scalar(abs(d[0]))
+        if len(d) <= 3 and lo is not None and hi is not None:
+            xs = [lo, hi]
+            if len(d) == 3:
+                vertex = -d[1] / (2 * d[2])
+                if lo < vertex < hi:
+                    xs.append(vertex)
+            return to_scalar(max(abs(ex.poly_eval(d, x)) for x in xs))
+    return max(
+        abs(ex.eval_finite(ea, x) - ex.eval_finite(eb, x))
+        for x in pw._span_samples(lo, hi, samples, tag)
+    )

@@ -18,8 +18,10 @@ expressions merge, which gives a canonical form and decidable equality.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from . import expr as ex
@@ -190,22 +192,27 @@ class HFunction:
             if _bound_ne(piece.lo, bounds[i]) or _bound_ne(piece.hi, bounds[i + 1]):
                 raise EngineError("piece boundaries must chain through the points")
 
-    @property
+    @cached_property
     def breakpoints(self) -> Tuple[Scalar, ...]:
         return tuple(p.x for p in self.points)
 
     def point_index(self, x: Scalar) -> Optional[int]:
-        for i, p in enumerate(self.points):
-            if scalar_eq(p.x, x):
-                return i
+        """Index of the first special point equal to x (`scalar_eq`)."""
+        xs = self.breakpoints
+        if get_mode() == FLOAT:
+            # p - x is monotone in p even after rounding, so the points
+            # within the tolerance follow the first one with p - x >= -tol
+            i = bisect_left(xs, -get_tolerance(), key=lambda p: p - x)
+        else:
+            i = bisect_left(xs, x)
+        if i < len(xs) and scalar_eq(xs[i], x):
+            return i
         return None
 
     def piece_at(self, x: Scalar) -> Piece:
-        for piece in self.pieces:
-            above = piece.lo is None or piece.lo < x
-            below = piece.hi is None or x < piece.hi
-            if above and below:
-                return piece
+        piece = self.pieces[bisect_left(self.breakpoints, x)]
+        if (piece.lo is None or piece.lo < x) and (piece.hi is None or x < piece.hi):
+            return piece
         raise DomainError(f"{x!r} not interior to any piece")
 
     def eval_at(self, x) -> Interval:

@@ -41,6 +41,23 @@ class TestEval:
         out = run_cli("eval", STEP, "one", "17").stdout
         assert out.strip() == "17 1 1"
 
+    def test_negative_fractions_without_separator(self):
+        out = run_cli("eval", STEP, "f", "-1/2", "-3", "1/2").stdout
+        assert out.splitlines() == ["-0.5 0 0", "-3 0 0", "0.5 1 1"]
+
+    def test_zero_denominator_on_the_whole_line_exit_2(self, tmp_path):
+        defs = tmp_path / "defs.json"
+        defs.write_text(json.dumps({
+            "functions": {"f": {
+                "domain": ["-inf", "inf"],
+                "pieces": [{"on": ["-inf", "inf"], "lower": "1/0"}],
+                "points": [],
+            }}
+        }))
+        result = run_cli("eval", str(defs), "f", "0", expect=2)
+        assert "division by zero" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_unbound_name_exit_3(self):
         run_cli("eval", STEP, "missing", "0", expect=3)
 
@@ -181,6 +198,15 @@ class TestSample:
             "0.5,1,1",
             "1,1,1",
         ]
+
+    def test_negative_fraction_origin(self, tmp_path):
+        out_file = tmp_path / "grid.csv"
+        run_cli("sample", STEP, "f", "-7/8", "1/16", "29", str(out_file))
+        rows = out_file.read_text().splitlines()
+        assert len(rows) == 30
+        assert rows[1] == "-0.875,0,0"
+        assert rows[15] == "0,0,1"
+        assert rows[-1] == "0.875,1,1"
 
     def test_single_row(self, tmp_path):
         out_file = tmp_path / "grid.csv"

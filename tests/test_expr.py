@@ -173,6 +173,30 @@ class TestAnalysis:
         assert ex.exact_equal(ex.parse("1/(2*x)"), ex.parse("(1/2)/x"))
         assert not ex.exact_equal(ex.parse("1/x"), ex.parse("1/(x+1)"))
 
+    def test_unequal_polynomials_skip_cross_multiplication(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("cross-multiplied two polynomials")
+
+        monkeypatch.setattr(ex, "_pmul", refuse)
+        assert not ex.exact_equal(ex.poly_expr([1, 2]), ex.poly_expr([1, 3]))
+        assert not ex.exact_equal(ex.X, ex.poly_expr([0, 0, 1]))
+        assert not ex.exact_equal(ex.const(2), ex.X)
+
+    def test_rational_functions_still_cross_multiply(self, monkeypatch):
+        calls = []
+        pmul = ex._pmul
+
+        def counted(a, b):
+            calls.append((a, b))
+            return pmul(a, b)
+
+        monkeypatch.setattr(ex, "_pmul", counted)
+        assert ex.exact_equal(ex.parse("1/(2*x)"), ex.parse("(1/2)/x"))
+        assert calls
+        calls.clear()
+        assert not ex.exact_equal(ex.parse("1/x"), ex.poly_expr([0, 1, 1]))
+        assert calls
+
     def test_count_poly_roots_inside(self):
         coeffs = ex.poly_coeffs(ex.parse("(x-1)*(x-1)*(x+2)"))
         assert ex.count_poly_roots_inside(coeffs, Fraction(-3), Fraction(2)) == 2
@@ -187,3 +211,8 @@ class TestAnalysis:
         assert ex.limit_at_infinity(ex.canonical(ex.parse("x*x")), 1) is None
         assert ex.limit_at_infinity(ex.canonical(ex.parse("(x*x+1)/(2*x*x)")), -1) == Fraction(1, 2)
         assert ex.limit_at_infinity(ex.parse("sin(x)"), 1) is None
+
+    def test_limit_at_infinity_zero_denominator(self):
+        for text in ("1/0", "x/(x - x)", "0/0"):
+            with pytest.raises(ExprEvalError, match="division by zero"):
+                ex.limit_at_infinity(ex.parse(text), 1)

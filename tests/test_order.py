@@ -1,10 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hfring import algebra, order
 from hfring import expr as ex
+from hfring import interval as iv
 from hfring import piecewise as pw
 from hfring import scalars, suite
 from hfring.errors import ConvergenceError, EngineError, NotPiecewiseLinear
@@ -279,3 +282,66 @@ class TestMixture:
         ).limit
         assert pw.func_equal(base, mixed)
         assert pw.func_equal(base, pw.constant_function(f.domain, 0))
+
+
+def _one_piece(domain, text):
+    return pw.hfunction(domain, [], [pw.make_piece(domain.lo, domain.hi, ex.parse(text))])
+
+
+def _sampled_deviation(f, g, count=400):
+    xs = pw.func_sample_points(f, count, tag="sampled-dev")
+    xs += [p.x for p in f.points] + [p.x for p in g.points]
+    return max(iv.distance(f.eval_at(x), g.eval_at(x)) for x in xs)
+
+
+class TestMaxDeviation:
+    def test_quadratic_sup_is_the_open_end_limit(self):
+        dom = Domain.of(0, 1)
+        assert order.max_deviation(_one_piece(dom, "0"), _one_piece(dom, "x*x")) == 1
+
+    def test_quadratic_sup_at_the_vertex(self):
+        dom = Domain.of(0, 1)
+        dev = order.max_deviation(_one_piece(dom, "0"), _one_piece(dom, "x - x*x"))
+        assert dev == Fraction(1, 4)
+
+    def test_identical_functions_need_no_evaluation(self, monkeypatch):
+        functions = suite.h_continuous_suite(64, 6)
+
+        def refuse(e, x):
+            raise AssertionError("evaluated an expression")
+
+        monkeypatch.setattr(ex, "eval_finite", refuse)
+        for f in functions:
+            assert order.max_deviation(f, f) == 0
+
+    def test_transcendental_piece_is_sampled(self, float_mode):
+        dom = Domain.of(0, 1)
+        dev = order.max_deviation(_one_piece(dom, "0"), _one_piece(dom, "sin(x)"))
+        assert isinstance(dev, float) and math.isfinite(dev)
+        assert 0.5 < dev < math.sin(1)
+
+    def test_never_below_the_sampled_distance(self):
+        functions = suite.h_continuous_suite(65, 12)
+        for f, g in zip(functions, functions[1:]):
+            for pair in ((f, g), (pw.pointwise_mul(f, g), pw.pointwise_add(f, g))):
+                assert order.max_deviation(*pair) >= _sampled_deviation(*pair)
+
+
+_knot = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+_slope = st.integers(min_value=-6, max_value=6).map(Fraction)
+
+
+@st.composite
+def _candidate(draw):
+    xs = sorted(set(draw(st.lists(_knot, min_size=1, max_size=3))))
+    knots = [(x, draw(_knot)) for x in xs]
+    return order._PL(knots, draw(_slope), draw(_slope))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_candidate(), min_size=1, max_size=6), st.lists(_knot, max_size=8))
+def test_lower_envelope_is_the_min_of_its_candidates(cands, probes):
+    env = order._lower_envelope(cands)
+    xs = [x for x, _ in env.knots] + probes + [Fraction(-9), Fraction(9)]
+    for x in xs:
+        assert env.at(x) == min(c.at(x) for c in cands)

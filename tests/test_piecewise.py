@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hfring import expr as ex
 from hfring import interval as iv
@@ -51,6 +52,48 @@ class TestEvalAt:
                 [],
                 [pw.make_piece(F(0), F(1), ex.parse("1"), ex.parse("0"))],
             )
+
+
+def _scan_point_index(f, x):
+    for i, p in enumerate(f.points):
+        if scalars.scalar_eq(p.x, x):
+            return i
+    return None
+
+
+def _scan_piece_at(f, x):
+    for piece in f.pieces:
+        if (piece.lo is None or piece.lo < x) and (piece.hi is None or x < piece.hi):
+            return piece
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    mode=st.sampled_from(
+        [(scalars.RATIONAL, None), (scalars.FLOAT, 1e-9), (scalars.FLOAT, 0.2)]
+    ),
+    near=st.lists(st.tuples(st.integers(0, 7), st.integers(-3, 3)), max_size=6),
+    free=st.lists(st.fractions(-2, 2, max_denominator=64), max_size=6),
+)
+def test_lookup_matches_the_linear_scan(seed, mode, near, free):
+    # a float tolerance of 0.2 puts several suite breakpoints (k/8) within
+    # the tolerance of one query, where the first of them must be returned
+    with scalars.engine_mode(*mode):
+        f = suite.h_continuous_suite(seed, 1)[0]
+        step = scalars.get_tolerance() / 2 if mode[0] == scalars.FLOAT else Fraction(1, 1024)
+        xs = [F(x) for x in free] + list(f.breakpoints)
+        if f.points:
+            xs += [f.points[i % len(f.points)].x + k * step for i, k in near]
+        for x in xs:
+            assert f.point_index(x) == _scan_point_index(f, x)
+            piece = _scan_piece_at(f, x)
+            if piece is None:
+                with pytest.raises(DomainError):
+                    f.piece_at(x)
+            else:
+                assert f.piece_at(x) is piece
 
 
 class TestRationalLimit:
