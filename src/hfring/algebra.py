@@ -173,21 +173,18 @@ def otimes_def1(f: HFunction, g: HFunction, declared=None) -> OpReport:
 def extend(phi: HFunction, spec: DenseSubsetSpec) -> HFunction:
     """Unique H-continuous extension of a function that is H-continuous off
     the excluded points: graph completion over the punctured dense set."""
-    g = pw.insert_breakpoints(
-        phi, [x for x in spec.excluded if phi.point_index(x) is None]
-    )
-    if not all(p.is_real for p in g.pieces):
+    if not all(p.is_real for p in phi.pieces):
         raise NotHausdorffContinuous(
             "restriction has proper interval values on pieces"
         )
-    for i, point in enumerate(g.points):
+    for i, point in enumerate(phi.points):
         if spec.admits(point.x) and not iv.interval_eq(
-            pw.punctured_completion_at(g, i), point.value
+            pw.punctured_completion_at(phi, i), point.value
         ):
             raise NotHausdorffContinuous(
                 f"restriction is not Hausdorff continuous at {point.x!r}"
             )
-    return baire.graph_completion(g, spec)
+    return baire.graph_completion(phi, spec)
 
 
 def _op_def2(f: HFunction, g: HFunction, pointwise_op, declared) -> OpReport:

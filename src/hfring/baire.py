@@ -35,15 +35,6 @@ __all__ = [
 ]
 
 
-def _with_excluded(f: HFunction, spec: DenseSubsetSpec) -> HFunction:
-    for x in spec.excluded:
-        if not f.domain.contains(x):
-            raise DomainError(f"excluded point {x!r} outside the domain")
-    return pw.insert_breakpoints(
-        f, [x for x in spec.excluded if f.point_index(x) is None]
-    )
-
-
 def _envelope_function(
     f: HFunction,
     spec: DenseSubsetSpec,
@@ -52,7 +43,7 @@ def _envelope_function(
     """Shared body of the lower/upper operators: keep the chosen bound on
     pieces, take min/max over side envelopes (and the point value when the
     point is in the dense set) at breakpoints."""
-    g = _with_excluded(f, spec)
+    g = pw.refine(f, spec.excluded)
     lower = which == "lower"
     points: List[SpecialPoint] = []
     for i, point in enumerate(g.points):
@@ -92,7 +83,7 @@ def graph_completion(f: HFunction, spec: Optional[DenseSubsetSpec] = None) -> HF
     Raises EnvelopeError when inconsistent declared envelopes make the
     completed value inverted."""
     spec = spec or DenseSubsetSpec.whole()
-    g = _with_excluded(f, spec)
+    g = pw.refine(f, spec.excluded)
     points = [
         SpecialPoint(
             point.x,

@@ -353,6 +353,10 @@ def cmd_compare_defs(args) -> int:
     return EXIT_OK if ok else EXIT_FAILED
 
 
+def _json_or_null(value):
+    return None if value is None else formats.scalar_to_json(value)
+
+
 def cmd_validate(args) -> int:
     bindings = _load(args.defs)
     payload = {}
@@ -364,10 +368,12 @@ def cmd_validate(args) -> int:
             "s_continuous": pw.is_S_continuous(f),
             "envelopes": [
                 {
-                    "x": None if c.x is None else formats.scalar_to_json(c.x),
+                    "x": _json_or_null(c.x),
                     "side": c.side,
                     "provenance": c.provenance,
                     "passed": c.passed,
+                    "observed_min": _json_or_null(c.observed_min),
+                    "observed_max": _json_or_null(c.observed_max),
                     "message": c.message,
                 }
                 for c in checks

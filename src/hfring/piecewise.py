@@ -22,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import expr as ex
 from . import interval as iv
@@ -451,8 +451,10 @@ def hfunction(
 
 
 def validate_function(f: HFunction, samples_per_piece: int = 64) -> None:
-    """Sampled representation checks: pieces evaluable and finite (no poles
-    inside), lower <= upper pointwise, interior envelopes present."""
+    """Representation checks: pieces evaluable and finite (no poles
+    inside), lower <= upper pointwise, interior envelopes present.  The
+    first two are sampled, except on real polynomial pieces in rational
+    mode, where they hold by construction."""
     tol = get_tolerance() if get_mode() == FLOAT else 0
     for i, piece in enumerate(f.pieces):
         for bound in {id(piece.lower): piece.lower, id(piece.upper): piece.upper}.values():
@@ -465,7 +467,11 @@ def validate_function(f: HFunction, samples_per_piece: int = 64) -> None:
                         f"denominator {ex.to_text(den)} vanishes inside "
                         f"({piece.lo!r}, {piece.hi!r})"
                     )
-        for x in _span_samples(piece.lo, piece.hi, samples_per_piece, tag=("validate", i)):
+        if get_mode() == RATIONAL and piece.is_real and ex.poly_coeffs(piece.lower) is not None:
+            samples = []  # finite everywhere and lower is upper: no sample can fail
+        else:
+            samples = _span_samples(piece.lo, piece.hi, samples_per_piece, tag=("validate", i))
+        for x in samples:
             try:
                 lo_raw = ex.eval_finite(piece.lower, x)
                 hi_raw = lo_raw if piece.is_real else ex.eval_finite(piece.upper, x)
@@ -521,77 +527,56 @@ def constant_function(domain: Domain, value) -> HFunction:
 
 
 # ---------------------------------------------------------------------------
-# Breakpoint insertion and alignment
+# Refinement and alignment
 # ---------------------------------------------------------------------------
 
 
-def insert_breakpoint(f: HFunction, x: Scalar) -> HFunction:
-    """Split the covering piece at x, storing the evaluated point value.
-    No-op when x is already a special point."""
-    x = to_scalar(x)
-    if not f.domain.contains(x):
-        raise DomainError(f"{x!r} outside domain {f.domain!r}")
-    if f.point_index(x) is not None:
+def refine(f: HFunction, xs: Iterable[Scalar]) -> HFunction:
+    """Split the pieces of f at every x that is not yet a special point,
+    storing the evaluated point value and envelopes there.
+
+    One pass over the pieces and the sorted ``xs``.  An x that `scalar_eq`
+    matches to an existing point, or to one just inserted, is skipped.
+    """
+    new: List[Scalar] = []
+    for x in sorted(to_scalar(x) for x in xs):
+        if not f.domain.contains(x):
+            raise DomainError(f"{x!r} outside domain {f.domain!r}")
+        if f.point_index(x) is None and not (new and scalar_eq(new[-1], x)):
+            new.append(x)
+    if not new:
         return f
-    new_points: List[SpecialPoint] = []
-    new_pieces: List[Piece] = []
-    inserted = False
+    points: List[SpecialPoint] = []
+    pieces: List[Piece] = []
+    j = 0
     for i, piece in enumerate(f.pieces):
-        above = piece.lo is None or piece.lo < x
-        below = piece.hi is None or x < piece.hi
-        if above and below and not inserted:
+        while j < len(new) and (piece.hi is None or new[j] < piece.hi):
+            x = new[j]
+            j += 1
             v_lo = ex.eval_finite(piece.lower, x)
             v_hi = v_lo if piece.is_real else ex.eval_finite(piece.upper, x)
-            value = Interval(min(v_lo, v_hi), max(v_lo, v_hi))
             env_lo = EndEnvelope(v_lo, v_lo, EVALUATED)
             env_hi = env_lo if piece.is_real else EndEnvelope(v_hi, v_hi, EVALUATED)
-            left = Piece(
+            pieces.append(Piece(
                 piece.lo, x, piece.lower, piece.upper,
                 piece.lower_left, env_lo, piece.upper_left, env_hi,
-            )
-            right = Piece(
+            ))
+            points.append(SpecialPoint(x, Interval(min(v_lo, v_hi), max(v_lo, v_hi))))
+            piece = Piece(
                 x, piece.hi, piece.lower, piece.upper,
                 env_lo, piece.lower_right, env_hi, piece.upper_right,
             )
-            new_pieces.extend([left, right])
-            new_points.append(SpecialPoint(x, value))
-            inserted = True
-        else:
-            new_pieces.append(piece)
+        pieces.append(piece)
         if i < len(f.points):
-            new_points.append(f.points[i])
-    if not inserted:
-        raise DomainError(f"no piece covers {x!r}")
-    return HFunction(f.domain, tuple(new_points), tuple(new_pieces))
-
-
-def insert_breakpoints(f: HFunction, xs: Sequence[Scalar]) -> HFunction:
-    for x in xs:
-        f = insert_breakpoint(f, x)
-    return f
+            points.append(f.points[i])
+    return HFunction(f.domain, tuple(points), tuple(pieces))
 
 
 def align(f: HFunction, g: HFunction) -> Tuple[HFunction, HFunction]:
     """Refine both functions to the union of their special points."""
     if not domain_eq(f.domain, g.domain):
         raise EngineError("operands must share a domain")
-    merged: List[Scalar] = []
-    fi = gi = 0
-    fx, gx = f.breakpoints, g.breakpoints
-    while fi < len(fx) or gi < len(gx):
-        if fi == len(fx):
-            merged.append(gx[gi]); gi += 1
-        elif gi == len(gx):
-            merged.append(fx[fi]); fi += 1
-        elif scalar_eq(fx[fi], gx[gi]):
-            merged.append(fx[fi]); fi += 1; gi += 1
-        elif fx[fi] < gx[gi]:
-            merged.append(fx[fi]); fi += 1
-        else:
-            merged.append(gx[gi]); gi += 1
-    f2 = insert_breakpoints(f, [x for x in merged if f.point_index(x) is None])
-    g2 = insert_breakpoints(g, [x for x in merged if g.point_index(x) is None])
-    return f2, g2
+    return refine(f, g.breakpoints), refine(g, f.breakpoints)
 
 
 # ---------------------------------------------------------------------------
@@ -959,37 +944,41 @@ def _check_envelope(
 
 def normalize(f: HFunction) -> HFunction:
     """Canonical form: prune width-0 special points whose value matches the
-    evaluated limits on both sides and whose neighbouring pieces merge."""
-    points = list(f.points)
-    pieces = list(f.pieces)
-    changed = True
-    while changed:
-        changed = False
-        for i, point in enumerate(points):
-            if not point.value.is_point:
-                continue
-            v = point.value.lo
-            left, right = pieces[i], pieces[i + 1]
-            envs = (left.lower_right, left.upper_right, right.lower_left, right.upper_left)
-            if any(e is None or not e.is_exact_limit or e.provenance != EVALUATED
-                   for e in envs):
-                continue
-            if any(not scalar_eq(e.liminf, v) for e in envs):
-                continue
-            if not (ex.exact_equal(left.lower, right.lower)
-                    and ex.exact_equal(left.upper, right.upper)):
-                continue
-            pieces[i : i + 2] = [
-                Piece(
-                    left.lo, right.hi, left.lower, left.upper,
-                    left.lower_left, right.lower_right,
-                    left.upper_left, right.upper_right,
-                )
-            ]
-            del points[i]
-            changed = True
-            break
+    evaluated limits on both sides and whose neighbouring pieces merge.
+
+    Whether a point is pruned depends only on its value and the facing ends
+    of its two pieces.  A merge keeps the outer ends of the pieces it joins
+    and an expression equal to both, so it changes no other point's test,
+    and one left-to-right pass reaches the fixpoint.
+    """
+    points: List[SpecialPoint] = []
+    pieces = [f.pieces[0]]
+    for point, right in zip(f.points, f.pieces[1:]):
+        left = pieces[-1]
+        if _removable(point, left, right):
+            pieces[-1] = Piece(
+                left.lo, right.hi, left.lower, left.upper,
+                left.lower_left, right.lower_right,
+                left.upper_left, right.upper_right,
+            )
+        else:
+            points.append(point)
+            pieces.append(right)
+    if len(points) == len(f.points):
+        return f
     return HFunction(f.domain, tuple(points), tuple(pieces))
+
+
+def _removable(point: SpecialPoint, left: Piece, right: Piece) -> bool:
+    if not point.value.is_point:
+        return False
+    v = point.value.lo
+    envs = (left.lower_right, left.upper_right, right.lower_left, right.upper_left)
+    if any(e is None or not e.is_exact_limit or e.provenance != EVALUATED
+           or not scalar_eq(e.liminf, v) for e in envs):
+        return False
+    return (ex.exact_equal(left.lower, right.lower)
+            and ex.exact_equal(left.upper, right.upper))
 
 
 def piece_expr_equal(a: ex.Expr, b: ex.Expr, lo, hi, tag="eq") -> bool:

@@ -6,12 +6,20 @@ import sys
 
 import pytest
 
+import hfring
 from hfring import algebra, cli
 
 from conftest import DATA_DIR
 
 STEP = os.path.join(DATA_DIR, "step_pair.json")
 OSC = os.path.join(DATA_DIR, "oscillation_pair.json")
+# the child process runs the package the tests import, also when pytest
+# found it through its own `pythonpath` setting rather than PYTHONPATH
+SRC = os.path.dirname(os.path.dirname(hfring.__file__))
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+}
 
 
 def run_cli(*args, expect: int = 0):
@@ -19,6 +27,7 @@ def run_cli(*args, expect: int = 0):
         [sys.executable, "-m", "hfring.cli", *args],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert result.returncode == expect, result.stderr or result.stdout
     return result
@@ -248,8 +257,29 @@ class TestValidate:
         data = json.loads(out)
         assert all(entry["h_continuous"] for entry in data.values())
 
+    def test_observed_values_reported(self, tmp_path):
+        with open(STEP) as fp:
+            data = json.load(fp)
+        left, right = data["functions"]["f"]["pieces"]
+        left["envelopes"] = {"left": {"liminf": 0, "limsup": 0},
+                             "right": {"liminf": 0, "limsup": "1/2"}}
+        right["envelopes"] = {"left": {"liminf": 1, "limsup": 1}}
+        defs = tmp_path / "defs.json"
+        defs.write_text(json.dumps(data))
+        out = run_cli("validate", str(defs), expect=1).stdout
+        checks = {(c["x"], c["side"]): c for c in json.loads(out)["f"]["envelopes"]}
+        assert checks[(None, "left")]["observed_min"] is None
+        assert checks[(None, "left")]["observed_max"] is None
+        assert checks[(0, "right")]["passed"] is False  # 1/2 is never approached
+        assert checks[(0, "right")]["observed_min"] == 0
+        assert checks[(0, "right")]["observed_max"] == 0
+        assert checks[(0, "left")]["observed_min"] == 1
+        assert checks[(0, "left")]["observed_max"] == 1
+
     def test_oscillation_validates_in_float_mode(self):
         out = run_cli("--mode", "float", "validate", OSC).stdout
         data = json.loads(out)
         assert data["f"]["h_continuous"] is True
         assert all(c["passed"] for c in data["f"]["envelopes"])
+        assert all(-1 <= c["observed_min"] < c["observed_max"] <= 1
+                   for c in data["f"]["envelopes"])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hfring import expr as ex
 from hfring import interval as iv
 from hfring import piecewise as pw
-from hfring import scalars, suite
+from hfring import algebra, baire, formats, scalars, suite
 from hfring.errors import DomainError, PieceError, RepresentationError
 from hfring.interval import Interval
 from hfring.piecewise import Domain
@@ -46,11 +46,35 @@ class TestEvalAt:
             )
 
     def test_lower_above_upper_rejected(self):
+        for lower, upper in (("1", "0"), ("x*x + 1", "x")):
+            with pytest.raises(PieceError):
+                pw.hfunction(
+                    Domain.of(0, 1),
+                    [],
+                    [pw.make_piece(F(0), F(1), ex.parse(lower), ex.parse(upper))],
+                )
+
+    def test_real_polynomial_pieces_are_not_sampled(self, monkeypatch):
+        data = {
+            "domain": [-1, "inf"],
+            "pieces": [{"on": [-1, 0], "lower": "x*x - 3*x + 1/2"},
+                       {"on": [0, "inf"], "lower": "2*x/4"}],
+            "points": [{"x": 0, "value": [0, "1/2"]}],
+        }
+
+        def no_samples(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(pw, "_span_samples", no_samples)
+        assert formats.hfunction_from_json(data).eval_at("-1/2") == Interval.of("9/4", "9/4")
+        with scalars.engine_mode(scalars.FLOAT):
+            with pytest.raises(AssertionError, match="sampled"):
+                formats.hfunction_from_json(data)
+
+    def test_transcendental_piece_rejected_in_rational_mode(self):
         with pytest.raises(PieceError):
             pw.hfunction(
-                Domain.of(0, 1),
-                [],
-                [pw.make_piece(F(0), F(1), ex.parse("1"), ex.parse("0"))],
+                Domain.of(0, 1), [], [pw.make_piece(F(0), F(1), ex.parse("sin(x)"))]
             )
 
 
@@ -94,6 +118,121 @@ def test_lookup_matches_the_linear_scan(seed, mode, near, free):
                     f.piece_at(x)
             else:
                 assert f.piece_at(x) is piece
+
+
+def _insert_breakpoint(f, x):
+    """Reference: split the covering piece at one point, the way the engine
+    inserted breakpoints one at a time before `refine`."""
+    x = pw.to_scalar(x)
+    if not f.domain.contains(x):
+        raise DomainError(f"{x!r} outside domain")
+    if _scan_point_index(f, x) is not None:
+        return f
+    points, pieces = [], []
+    for i, piece in enumerate(f.pieces):
+        if _scan_piece_at(f, x) is piece:
+            v_lo = ex.eval_finite(piece.lower, x)
+            v_hi = v_lo if piece.is_real else ex.eval_finite(piece.upper, x)
+            env_lo = pw.EndEnvelope(v_lo, v_lo)
+            env_hi = env_lo if piece.is_real else pw.EndEnvelope(v_hi, v_hi)
+            pieces += [
+                pw.Piece(piece.lo, x, piece.lower, piece.upper,
+                         piece.lower_left, env_lo, piece.upper_left, env_hi),
+                pw.Piece(x, piece.hi, piece.lower, piece.upper,
+                         env_lo, piece.lower_right, env_hi, piece.upper_right),
+            ]
+            points.append(pw.SpecialPoint(x, Interval(min(v_lo, v_hi), max(v_lo, v_hi))))
+        else:
+            pieces.append(piece)
+        if i < len(f.points):
+            points.append(f.points[i])
+    return pw.HFunction(f.domain, tuple(points), tuple(pieces))
+
+
+def _normalize_fixpoint(f):
+    """Reference: merge the first removable point and rescan from the start
+    until no point is removable."""
+    points, pieces = list(f.points), list(f.pieces)
+    changed = True
+    while changed:
+        changed = False
+        for i, point in enumerate(points):
+            left, right = pieces[i], pieces[i + 1]
+            if pw._removable(point, left, right):
+                pieces[i : i + 2] = [pw.Piece(
+                    left.lo, right.hi, left.lower, left.upper,
+                    left.lower_left, right.lower_right, left.upper_left, right.upper_right,
+                )]
+                del points[i]
+                changed = True
+                break
+    return pw.HFunction(f.domain, tuple(points), tuple(pieces))
+
+
+MODES = [(scalars.RATIONAL, None), (scalars.FLOAT, 1e-9), (scalars.FLOAT, 0.2)]
+
+
+def _refine_points(f, near, free, step):
+    xs = [F(x) for x in free]
+    if f.points:
+        xs += [f.points[i % len(f.points)].x + k * step for i, k in near]
+    return xs + [x + step / 3 for x in xs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    mode=st.sampled_from(MODES),
+    near=st.lists(st.tuples(st.integers(0, 7), st.integers(-3, 3)), max_size=6),
+    free=st.lists(st.fractions(-1, 1, max_denominator=64).filter(lambda x: -1 < x < 1),
+                  max_size=6),
+)
+def test_refine_matches_per_point_insertion(seed, mode, near, free):
+    # at a float tolerance of 0.2 many requested points fall within the
+    # tolerance of an existing point or of one inserted just before
+    with scalars.engine_mode(*mode):
+        step = scalars.get_tolerance() / 2 if mode[0] == scalars.FLOAT else Fraction(1, 1024)
+        f = suite.h_continuous_suite(seed, 1)[0]
+        xs = [x for x in _refine_points(f, near, free, step) if f.domain.contains(x)]
+        expected = f
+        for x in sorted(xs):
+            expected = _insert_breakpoint(expected, x)
+        assert pw.refine(f, xs) == expected
+        assert pw.refine(f, reversed(xs)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    mode=st.sampled_from(MODES),
+    free=st.lists(st.fractions(-1, 1, max_denominator=64).filter(lambda x: -1 < x < 1),
+                  max_size=6),
+)
+def test_one_pass_normalize_matches_the_fixpoint(seed, mode, free):
+    with scalars.engine_mode(*mode):
+        f, g = suite.h_continuous_suite(seed, 2)
+        refined = pw.refine(f, [F(x) for x in free])
+        inputs = [refined, pw.pointwise_mul(refined, f),
+                  pw.pointwise_add(refined, pw.pointwise_neg(f))]
+        if mode[1] != 0.2:
+            # at a tolerance above half the suite's breakpoint spacing (1/16)
+            # `align` refines f and g to different point sets, and the
+            # pointwise operations then fail to build a function
+            inputs += [pw.pointwise_add(f, g), pw.pointwise_mul(f, g)]
+        for h in inputs:
+            assert pw.normalize(h) == _normalize_fixpoint(h)
+        assert pw.normalize(refined) == _normalize_fixpoint(f)
+
+
+def test_refine_rejects_points_outside_the_domain():
+    f = suite.h_continuous_suite(3, 1)[0]
+    outside = pw.DenseSubsetSpec.excluding(0, 1)
+    with pytest.raises(DomainError):
+        pw.refine(f, [F(0), F(2)])
+    for operator in (baire.lower_baire, baire.upper_baire, baire.graph_completion,
+                     algebra.extend):
+        with pytest.raises(DomainError):
+            operator(f, outside)
 
 
 class TestRationalLimit:
