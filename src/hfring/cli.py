@@ -14,6 +14,7 @@ Engine errors map to codes through the one table `_EXIT_CODES`.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import re
 import sys
@@ -234,7 +235,7 @@ def cmd_eval(args) -> int:
     for text in args.points:
         try:
             x = parse_scalar(text)
-        except (ValueError, EngineError) as exc:
+        except EngineError as exc:
             raise _CliError(EXIT_PARSE, f"bad point {text!r}: {exc}") from exc
         value = f.eval_at(x)
         lines.append(
@@ -339,9 +340,7 @@ def cmd_compare_defs(args) -> int:
             "within_tol": float(d3.max_deviation) <= args.cmp_tol,
         }
     with open(args.out_csv, "w", encoding="utf-8", newline="") as fp:
-        import csv as _csv
-
-        _csv.writer(fp).writerows(csv_rows)
+        csv.writer(fp).writerows(csv_rows)
     payload = {
         "depth": args.depth,
         "tol": args.cmp_tol,

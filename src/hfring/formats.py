@@ -39,7 +39,7 @@ from .baire import GridFunction
 from .errors import EngineError
 from .interval import Interval
 from .piecewise import Domain, HFunction
-from .scalars import Scalar, format_scalar, to_scalar
+from .scalars import Scalar, format_scalar, scalar_eq, to_scalar
 
 
 def scalar_to_json(value: Scalar):
@@ -89,29 +89,53 @@ def interval_from_json(data) -> Interval:
     return Interval.point(scalar_from_json(data))
 
 
-def _envelope_pair_from_json(data):
+_REQUIRED = object()
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _entry(data, key: str, what: str, kind: type = object, default=_REQUIRED):
+    """``data[key]``, or ``default`` when the key is absent and a default is
+    given.  EngineError when ``data`` is not a JSON object, a required key is
+    missing, or the value is not a ``kind``."""
+    if not isinstance(data, dict):
+        raise EngineError(f"{what} must be a JSON object, got {data!r}")
+    value = data.get(key, default)
+    if value is _REQUIRED:
+        raise EngineError(f"{what} has no {key!r}")
+    if value is not default and not isinstance(value, kind):
+        raise EngineError(f"{key!r} of {what} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _span_from_json(data, what: str):
+    if not isinstance(data, list) or len(data) != 2:
+        raise EngineError(f"{what} needs [lo, hi], got {data!r}")
+    return _end_from_json(data[0], "lo"), _end_from_json(data[1], "hi")
+
+
+def _envelope_pair_from_json(envelopes, side: str):
+    data = _entry(envelopes, side, "envelopes", default=None)
     if data is None:
         return None
-    return (scalar_from_json(data["liminf"]), scalar_from_json(data["limsup"]))
+    return (
+        scalar_from_json(_entry(data, "liminf", "an envelope")),
+        scalar_from_json(_entry(data, "limsup", "an envelope")),
+    )
 
 
 def hfunction_from_json(data: dict) -> HFunction:
-    domain = Domain(
-        _end_from_json(data["domain"][0], "lo"),
-        _end_from_json(data["domain"][1], "hi"),
-    )
+    domain = Domain(*_span_from_json(_entry(data, "domain", "a function"), "a domain"))
     points = []
-    for entry in data.get("points", ()):
-        points.append((scalar_from_json(entry["x"]), interval_from_json(entry["value"])))
+    for entry in _entry(data, "points", "a function", list, ()):
+        x = scalar_from_json(_entry(entry, "x", "a point"))
+        points.append((x, interval_from_json(_entry(entry, "value", "a point"))))
     points.sort(key=lambda t: t[0])
     piece_specs = []
-    for entry in data.get("pieces", ()):
-        on = entry["on"]
-        lo = _end_from_json(on[0], "lo")
-        hi = _end_from_json(on[1], "hi")
-        lower = ex.parse(entry["lower"])
-        upper = ex.parse(entry["upper"]) if "upper" in entry else None
-        envelopes = entry.get("envelopes", {})
+    for entry in _entry(data, "pieces", "a function", list, ()):
+        lo, hi = _span_from_json(_entry(entry, "on", "a piece"), "a piece")
+        lower = ex.parse(_entry(entry, "lower", "a piece", str))
+        upper = _entry(entry, "upper", "a piece", str, None)
+        envelopes = _entry(entry, "envelopes", "a piece", default={})
         piece_specs.append(
             (
                 lo,
@@ -120,9 +144,9 @@ def hfunction_from_json(data: dict) -> HFunction:
                     lo,
                     hi,
                     lower,
-                    upper,
-                    declared_left=_envelope_pair_from_json(envelopes.get("left")),
-                    declared_right=_envelope_pair_from_json(envelopes.get("right")),
+                    None if upper is None else ex.parse(upper),
+                    declared_left=_envelope_pair_from_json(envelopes, "left"),
+                    declared_right=_envelope_pair_from_json(envelopes, "right"),
                 ),
             )
         )
@@ -185,7 +209,7 @@ def load_defs(path: str) -> Dict[str, HFunction]:
     if "functions" in data:
         return {
             name: hfunction_from_json(body)
-            for name, body in data["functions"].items()
+            for name, body in _entry(data, "functions", "a definitions file", dict).items()
         }
     if "domain" in data and "pieces" in data:
         return {"result": hfunction_from_json(data)}
@@ -213,9 +237,17 @@ def grid_from_csv(fp: TextIO) -> GridFunction:
     xs: List[Scalar] = []
     values: List[Interval] = []
     for row in reader:
+        if len(row) != 3:
+            raise EngineError(f"grid CSV rows need three columns, got {row!r}")
         xs.append(to_scalar(row[0]))
         values.append(Interval.of(row[1], row[2]))
     if len(xs) < 1:
         raise EngineError("empty grid CSV")
     h = xs[1] - xs[0] if len(xs) > 1 else to_scalar(1)
+    for i, x in enumerate(xs):
+        if not scalar_eq(x, xs[0] + i * h):
+            raise EngineError(
+                f"grid CSV x values must be evenly spaced: row {i + 1} has {x!r}, "
+                f"not {xs[0] + i * h!r}"
+            )
     return GridFunction(xs[0], h, tuple(values))

@@ -2,9 +2,12 @@
 the ring operations.
 
 Approximating sequences are realized by slope-n inf-convolution (from
-below) and its reflection (from above): for piecewise-linear inputs these
-are exactly computable continuous piecewise-linear functions, increasing
-in n, that regularize the lower/upper bound.
+below) and its reflection (from above): continuous piecewise-linear
+functions, increasing in n, that regularize the lower/upper bound.  For a
+piecewise-linear operand a forward and a backward pass over the knots
+(special points and finite domain ends) give the inf-convolution there, as
+in the 1-D distance transform of Felzenszwalb and Huttenlocher; on each
+piece it is the lower envelope of at most three lines.
 
 Order limits are taken by *structure stabilization*: elements at depths
 N, 2N, 4N and 8N are compared pairwise; regions where the representation
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import algebra, baire
 from . import expr as ex
@@ -158,37 +161,16 @@ def mixture(seq_a: FunctionSequence, seq_b: FunctionSequence) -> FunctionSequenc
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _PL:
-    """Continuous piecewise-linear function on the whole line: knots plus
-    tail slopes.  Used only as scaffolding for lower envelopes."""
-
-    knots: List[Tuple[Scalar, Scalar]]
-    left_slope: Scalar
-    right_slope: Scalar
-
-    def at(self, x: Scalar) -> Scalar:
-        ks = self.knots
-        if x <= ks[0][0]:
-            return ks[0][1] + self.left_slope * (x - ks[0][0])
-        if x >= ks[-1][0]:
-            return ks[-1][1] + self.right_slope * (x - ks[-1][0])
-        for (x1, y1), (x2, y2) in zip(ks, ks[1:]):
-            if x1 <= x <= x2:
-                return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
-        raise AssertionError("knot scan failed")
-
-
-def _cone(x0: Scalar, v: Scalar, n: Scalar) -> _PL:
-    return _PL([(x0, v)], -n, n)
-
-
 def infconv_approx(f: HFunction, n: int, direction: str = FROM_BELOW) -> HFunction:
     """Slope-n regularization: from below the n-Lipschitz inf-convolution of
     the lower bound, from above its reflection on the upper bound.
 
     Continuous piecewise-linear, monotone in n, converging to the bound off
     the special points.  Requires a piecewise-linear H-continuous operand.
+    On each piece the result is the lowest of the cone rising from the left
+    knot, the piece's own line and the cone falling to the right knot; the
+    line is left out where a cone lies below it (slope >= n with a finite
+    left end, or <= -n with a finite right end).
     """
     if direction not in (FROM_BELOW, FROM_ABOVE):
         raise EngineError(f"unknown direction {direction!r}")
@@ -202,123 +184,63 @@ def infconv_approx(f: HFunction, n: int, direction: str = FROM_BELOW) -> HFuncti
     slope = to_scalar(n)
     if not slope > 0:
         raise EngineError("regularization slope must be positive")
-    cands: List[_PL] = []
-    for piece in f.pieces:
-        a, b = ex.linear_coeffs(piece.lower)
-        if abs(a) <= slope:
-            knots = []
-            if piece.lo is not None:
-                knots.append((piece.lo, a * piece.lo + b))
-            if piece.hi is not None:
-                knots.append((piece.hi, a * piece.hi + b))
-            if not knots:
-                knots = [(to_scalar(0), to_scalar(b))]
-            left = -slope if piece.lo is not None else a
-            right = slope if piece.hi is not None else a
-            cands.append(_PL(knots, left, right))
-        elif a > slope:
-            if piece.lo is None:
-                raise EngineError(
-                    "piece slope exceeds the regularization slope on an "
-                    "unbounded piece; increase n"
-                )
-            cands.append(_cone(piece.lo, a * piece.lo + b, slope))
-        else:
-            if piece.hi is None:
-                raise EngineError(
-                    "piece slope exceeds the regularization slope on an "
-                    "unbounded piece; increase n"
-                )
-            cands.append(_cone(piece.hi, a * piece.hi + b, slope))
-    for point in f.points:
-        cands.append(_cone(point.x, point.value.lo, slope))
-    envelope = _lower_envelope(cands)
-    return _pl_to_hfunction(envelope, f.domain)
+    lines = [ex.linear_coeffs(piece.lower) for piece in f.pieces]
+    # knot k lies between pieces k - 1 and k; knots 1 .. len(points) are the points
+    ends = (f.domain.lo, *f.breakpoints, f.domain.hi)
+    finite = [k for k, x in enumerate(ends) if x is not None]
+    values: Dict[int, Scalar] = {}
+    for k in finite:
+        limits = [a * ends[k] + b for a, b in lines[max(k - 1, 0) : k + 1]]
+        values[k] = min(limits + [p.value.lo for p in f.points[max(k - 1, 0) : k]])
+    for i, k in zip(finite, finite[1:]):
+        values[k] = min(values[k], values[i] + slope * (ends[k] - ends[i]))
+    for k, i in zip(finite[-2::-1], finite[::-1]):
+        values[k] = min(values[k], values[i] + slope * (ends[i] - ends[k]))
+    points, pieces = [], []
+    for j, (a, b) in enumerate(lines):
+        u, w = ends[j], ends[j + 1]
+        if (a > slope and u is None) or (a < -slope and w is None):
+            raise EngineError(
+                "piece slope exceeds the regularization slope on an "
+                "unbounded piece; increase n"
+            )
+        cands = []  # (slope, intercept), slopes decreasing
+        if u is not None:
+            cands.append((slope, values[j] - slope * u))
+        if (u is None or a < slope) and (w is None or a > -slope):
+            cands.append((a, b))
+        if w is not None:
+            cands.append((-slope, values[j + 1] + slope * w))
+        if len(cands) == 3:
+            x12, x23 = _crossing(*cands[:2]), _crossing(*cands[1:])
+            if not x12 < x23 or scalar_eq(x12, x23):
+                del cands[1]  # the line never shows, or only within the tolerance
+        bounds = [u, *(_clip(_crossing(p, q), u, w) for p, q in zip(cands, cands[1:])), w]
+        for (s, c), lo, hi in zip(cands, bounds, bounds[1:]):
+            if lo is None or hi is None or lo < hi:
+                if pieces:
+                    points.append((lo, Interval(s * lo + c, s * lo + c)))
+                expr = ex.poly_expr([_as_fraction(c), _as_fraction(s)])
+                pieces.append(pw.make_piece(lo, hi, expr))
+    return pw.normalize(pw.hfunction(f.domain, points, pieces, validate=False))
 
 
-def _lower_envelope(cands: List[_PL]) -> _PL:
-    xs = sorted({x for c in cands for (x, _) in c.knots})
-    probe_l = _tail_probe(cands, xs[0], left=True)
-    probe_r = _tail_probe(cands, xs[-1], left=False)
-    grid = [probe_l] + xs + [probe_r]
-    # every candidate is evaluated once per grid abscissa; between two
-    # neighbouring abscissae each candidate is one line
-    table = [[c.at(x) for c in cands] for x in grid]
-    knots = {x: min(row) for x, row in zip(xs, table[1:-1])}
-    for k, (u, w) in enumerate(zip(grid, grid[1:])):
-        if u < w:
-            lines = [(vu, (vw - vu) / (w - u)) for vu, vw in zip(table[k], table[k + 1])]
-            knots.update(_cell_kinks(lines, u, w))
-    left_winner = min(zip(table[0], cands), key=lambda vc: (vc[0], -vc[1].left_slope))[1]
-    right_winner = min(zip(table[-1], cands), key=lambda vc: (vc[0], vc[1].right_slope))[1]
-    return _PL(sorted(knots.items()), left_winner.left_slope, right_winner.right_slope)
+def _crossing(p: Tuple[Scalar, Scalar], q: Tuple[Scalar, Scalar]) -> Scalar:
+    """Abscissa where the lines (slope, intercept) p and q meet."""
+    return (q[1] - p[1]) / (p[0] - q[0])
 
 
-def _cell_kinks(lines, u: Scalar, w: Scalar) -> List[Tuple[Scalar, Scalar]]:
-    """Kinks strictly inside (u, w) of the lower envelope of ``lines``,
-    given as (value at u, slope).  The sweep starts on the lowest line just
-    right of u and moves to the first line of smaller slope to cross it."""
-    v, s = min(lines)
-    x = u
-    kinks = []
-    while True:
-        step = None
-        for vj, sj in lines:
-            if sj < s:
-                x_cross = u + (vj - v) / (s - sj)
-                if x < x_cross and (step is None or (x_cross, sj) < step[:2]):
-                    step = (x_cross, sj, vj)
-        if step is None or not step[0] < w:
-            return kinks
-        x, s, v = step
-        kinks.append((x, v + s * (x - u)))
-
-
-def _tail_probe(cands: List[_PL], edge: Scalar, left: bool) -> Scalar:
-    crossings = [edge]
-    lines = [(c.at(edge), c.left_slope if left else c.right_slope) for c in cands]
-    for i in range(len(lines)):
-        vi, si = lines[i]
-        for j in range(i + 1, len(lines)):
-            vj, sj = lines[j]
-            if si == sj:
-                continue
-            x_cross = edge + (vj - vi) / (si - sj)
-            if (left and x_cross < edge) or (not left and x_cross > edge):
-                crossings.append(x_cross)
-    return (min(crossings) - 1) if left else (max(crossings) + 1)
-
-
-def _pl_to_hfunction(env: _PL, domain: pw.Domain) -> HFunction:
-    interior = [(x, v) for (x, v) in env.knots if domain.contains(x)]
-    ends = [(domain.lo, None)] + interior + [(domain.hi, None)]
-    pieces = []
-    for (u, v1), (w, v2) in zip(ends, ends[1:]):
-        x1, x2 = u, w
-        if v1 is None or v2 is None:
-            # a piece touching a domain end reads its line off two probes
-            x1, x2 = _line_probes(u, w)
-            v1, v2 = env.at(x1), env.at(x2)
-        slope = (v2 - v1) / (x2 - x1)
-        intercept = v1 - slope * x1
-        expr = ex.poly_expr([_as_fraction(intercept), _as_fraction(slope)])
-        pieces.append(pw.make_piece(u, w, expr))
-    points = [(x, Interval(v, v)) for (x, v) in interior]
-    return pw.normalize(pw.hfunction(domain, points, pieces, validate=False))
+def _clip(x: Scalar, lo: Optional[Scalar], hi: Optional[Scalar]) -> Scalar:
+    """x moved into [lo, hi]; float rounding can put a crossing outside or beside an end."""
+    if lo is not None and (x < lo or scalar_eq(x, lo)):
+        return lo
+    if hi is not None and (hi < x or scalar_eq(x, hi)):
+        return hi
+    return x
 
 
 def _as_fraction(v: Scalar) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(str(v))
-
-
-def _line_probes(u: Optional[Scalar], w: Optional[Scalar]) -> Tuple[Scalar, Scalar]:
-    if u is None and w is None:
-        return to_scalar(-1), to_scalar(1)
-    if u is None:
-        return w - 2, w - 1
-    if w is None:
-        return u + 1, u + 2
-    return u + (w - u) / 4, w - (w - u) / 4
 
 
 # ---------------------------------------------------------------------------

@@ -573,10 +573,29 @@ def refine(f: HFunction, xs: Iterable[Scalar]) -> HFunction:
 
 
 def align(f: HFunction, g: HFunction) -> Tuple[HFunction, HFunction]:
-    """Refine both functions to the union of their special points."""
+    """Refine both functions to the union of their special points.
+
+    In float mode a point within the tolerance of a point of the other
+    function is not inserted.  When the tolerance would merge two
+    neighbouring points of one function into one point of the other, the
+    refinements differ and RepresentationError is raised.
+    """
     if not domain_eq(f.domain, g.domain):
         raise EngineError("operands must share a domain")
-    return refine(f, g.breakpoints), refine(g, f.breakpoints)
+    fa, ga = refine(f, g.breakpoints), refine(g, f.breakpoints)
+    xs, ys = [p.x for p in fa.points], [p.x for p in ga.points]
+    if len(xs) == len(ys) and all(map(scalar_eq, xs, ys)):
+        return fa, ga
+    for a, b in ((xs, ys), (ys, xs)):
+        for p, q in zip(a, a[1:]):
+            if any(scalar_eq(p, r) and scalar_eq(q, r) for r in b):
+                raise RepresentationError(
+                    f"tolerance {get_tolerance()} merges the breakpoints {p!r} and "
+                    f"{q!r} into one point; the operands cannot be aligned"
+                )
+    raise RepresentationError(
+        f"tolerance {get_tolerance()} aligns the operands to different breakpoints"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,11 @@ def to_scalar(value) -> Scalar:
     semantics, so ``0.1`` becomes exactly 1/10.  Strings may also carry a
     fraction ``"p/q"``.  Non-finite values are rejected.
     """
+    if isinstance(value, str):
+        try:
+            value = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise EngineError(f"not a number: {value!r}") from exc
     if _mode == RATIONAL:
         if isinstance(value, Fraction):
             return value
@@ -92,11 +97,7 @@ def to_scalar(value) -> Scalar:
             if not math.isfinite(value):
                 raise EngineError("non-finite value has no rational scalar")
             return Fraction(str(value))
-        if isinstance(value, str):
-            return Fraction(value.strip())
         raise EngineError(f"cannot coerce {value!r} to a rational scalar")
-    if isinstance(value, str):
-        value = Fraction(value.strip())
     result = float(value)
     if not math.isfinite(result):
         raise NumericRangeError(f"non-finite scalar {value!r}")
@@ -120,10 +121,6 @@ def scalar_eq(a: Scalar, b: Scalar) -> bool:
     if _mode == RATIONAL:
         return a == b
     return abs(a - b) <= _tolerance
-
-
-def scalar_abs(a: Scalar) -> Scalar:
-    return -a if a < 0 else a
 
 
 def format_scalar(a: Scalar) -> str:

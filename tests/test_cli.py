@@ -67,6 +67,11 @@ class TestEval:
         assert "division by zero" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_zero_denominator_point_exit_2(self):
+        result = run_cli("eval", STEP, "f", "1/0", expect=2)
+        assert "not a number" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_unbound_name_exit_3(self):
         run_cli("eval", STEP, "missing", "0", expect=3)
 
@@ -74,6 +79,23 @@ class TestEval:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         run_cli("eval", str(bad), "f", "0", expect=2)
+
+    @pytest.mark.parametrize("defs", [
+        {"functions": {"F": {"pieces": [{"on": [-1, 1], "lower": "x"}]}}},
+        {"functions": {"F": {"domain": [-1, 1], "pieces": [{"on": [-1, 1]}]}}},
+        {"functions": {"F": {"domain": [-1, 1], "pieces": [
+            {"on": [-1, 1], "lower": "x", "envelopes": {"left": {"liminf": 0}}}]}}},
+        {"functions": {"F": {"domain": [-1, 1], "pieces": [{"on": [-1, 1], "lower": 5}]}}},
+        {"functions": []},
+        {"functions": {"F": {"domain": ["abc", 1], "pieces": [{"on": [-1, 1], "lower": "x"}]}}},
+    ], ids=["no-domain", "no-lower", "no-limsup", "numeric-lower", "functions-list",
+            "bad-scalar"])
+    def test_malformed_defs_exit_2(self, tmp_path, defs):
+        path = tmp_path / "defs.json"
+        path.write_text(json.dumps(defs))
+        result = run_cli("eval", str(path), "F", "1/2", expect=2)
+        assert "cannot load" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_domain_error_exit_4(self, tmp_path):
         defs = tmp_path / "defs.json"

@@ -105,6 +105,15 @@ class TestGridCsv:
         assert back.values == grid.values
         assert back.x0 == grid.x0 and back.h == grid.h
 
+    @pytest.mark.parametrize("text", [
+        "x,lo,hi\n0,1,1\n1,2,2\n3,4,4\n",
+        "x,lo,hi\n0,1,1\n1,2\n",
+        "x,lo,hi\n0,1,1\n1/0,2,2\n",
+    ], ids=["uneven-spacing", "two-columns", "zero-denominator"])
+    def test_malformed_rows_rejected(self, text):
+        with pytest.raises(EngineError):
+            formats.grid_from_csv(io.StringIO(text))
+
     def test_single_row(self):
         grid = GridFunction(pw.to_scalar(0), pw.to_scalar(1), (Interval.of(5, 5),))
         buffer = io.StringIO()

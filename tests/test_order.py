@@ -327,21 +327,92 @@ class TestMaxDeviation:
                 assert order.max_deviation(*pair) >= _sampled_deviation(*pair)
 
 
-_knot = st.fractions(min_value=-4, max_value=4, max_denominator=8)
-_slope = st.integers(min_value=-6, max_value=6).map(Fraction)
+def _with_domain(f, domain):
+    """f with its first and last pieces stretched to the ends of ``domain``."""
+    ends = [domain.lo, *f.breakpoints, domain.hi]
+    pieces = [pw.make_piece(u, w, p.lower) for u, w, p in zip(ends, ends[1:], f.pieces)]
+    return pw.hfunction(domain, [(p.x, p.value) for p in f.points], pieces, validate=False)
 
 
-@st.composite
-def _candidate(draw):
-    xs = sorted(set(draw(st.lists(_knot, min_size=1, max_size=3))))
-    knots = [(x, draw(_knot)) for x in xs]
-    return order._PL(knots, draw(_slope), draw(_slope))
+def _infconv_reference(f, n, x):
+    """min over y of lower(y) + n|x - y| by brute force: every point's cone,
+    and on every piece the candidates y = lo, hi (where finite) and x
+    clipped to the piece."""
+    values = [p.value.lo + n * abs(x - p.x) for p in f.points]
+    for piece in f.pieces:
+        a, b = ex.linear_coeffs(piece.lower)
+        clipped = x
+        if piece.lo is not None:
+            clipped = max(clipped, piece.lo)
+        if piece.hi is not None:
+            clipped = min(clipped, piece.hi)
+        ys = [y for y in (piece.lo, piece.hi) if y is not None] + [clipped]
+        values += [a * y + b + n * abs(x - y) for y in ys]
+    return min(values)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(_candidate(), min_size=1, max_size=6), st.lists(_knot, max_size=8))
-def test_lower_envelope_is_the_min_of_its_candidates(cands, probes):
-    env = order._lower_envelope(cands)
-    xs = [x for x, _ in env.knots] + probes + [Fraction(-9), Fraction(9)]
-    for x in xs:
-        assert env.at(x) == min(c.at(x) for c in cands)
+_ENDS = {"bounded": (-1, 1), "left": (None, 1), "right": (-1, None), "both": (None, None)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    denominator=st.sampled_from([8, 3, 10]),
+    ends=st.sampled_from(sorted(_ENDS)),
+    n=st.sampled_from([1, 2, 3, 5, 4096]),
+    direction=st.sampled_from([order.FROM_BELOW, order.FROM_ABOVE]),
+    mode=st.sampled_from([(scalars.RATIONAL, None), (scalars.FLOAT, 1e-9)]),
+    probes=st.lists(st.fractions(-4, 4, max_denominator=64), max_size=8),
+)
+def test_infconv_is_the_brute_force_minimum(seed, denominator, ends, n, direction, mode,
+                                            probes):
+    with scalars.engine_mode(*mode):
+        f = suite.random_h_continuous(random.Random(seed), abscissa_denominator=denominator)
+        f = _with_domain(f, Domain.of(*_ENDS[ends]))
+        # from above is the reflection of from below
+        operand, sign = (f, 1) if direction == order.FROM_BELOW else (pw.pointwise_neg(f), -1)
+        try:
+            m = order.infconv_approx(f, n, direction)
+        except EngineError:
+            first, _ = ex.linear_coeffs(operand.pieces[0].lower)
+            last, _ = ex.linear_coeffs(operand.pieces[-1].lower)
+            assert (first > n and f.domain.lo is None) or (last < -n and f.domain.hi is None)
+            return
+        # in float mode too, no two breakpoints are within the tolerance
+        assert not any(map(scalars.scalar_eq, m.breakpoints, m.breakpoints[1:]))
+        for x in list(m.breakpoints) + [F(x) for x in probes if f.domain.contains(F(x))]:
+            expected = sign * _infconv_reference(operand, n, x)
+            value, tol = m.eval_at(x), mode[1] or 0
+            assert abs(value.lo - expected) <= tol and abs(value.hi - expected) <= tol
+
+
+@pytest.mark.parametrize(
+    "domain, text",
+    [(Domain.of(None, 1), "3*x"), (Domain.of(-1, None), "-3*x")],
+)
+def test_infconv_rejects_a_steep_unbounded_piece(domain, text):
+    with pytest.raises(EngineError, match="exceeds the regularization slope"):
+        order.infconv_approx(_one_piece(domain, text), 2)
+
+
+def test_infconv_accepts_a_steep_piece_falling_towards_its_finite_end():
+    # slope -3 < -n on (-inf, 1): the cone falling to the knot at 1 lies below
+    m = order.infconv_approx(_one_piece(Domain.of(None, 1), "-3*x"), 1)
+    assert pw.func_equal(m, _one_piece(Domain.of(None, 1), "-2 - x"))
+
+
+def test_infconv_float_mode_drops_a_flat_narrower_than_the_tolerance(float_mode):
+    # the piece's line lies 1e-12 below the point where the two cones meet,
+    # so the exact result is flat on a stretch 2e-12 wide around 1/2
+    h = 0.5 - 1e-12
+    f = pw.hfunction(
+        Domain.of(-1, 2),
+        [(F(0), Interval.of(0, h)), (F(1), Interval.of(0, h))],
+        [pw.make_piece(F(-1), F(0), ex.parse("0")),
+         pw.make_piece(F(0), F(1), ex.poly_expr([Fraction(h)])),
+         pw.make_piece(F(1), F(2), ex.parse("0"))],
+        validate=False,
+    )
+    m = order.infconv_approx(f, 1)
+    assert m.breakpoints == (0, 0.5, 1)
+    assert abs(m.eval_at(0.5).lo - h) <= 1e-9

@@ -216,8 +216,8 @@ def test_one_pass_normalize_matches_the_fixpoint(seed, mode, free):
                   pw.pointwise_add(refined, pw.pointwise_neg(f))]
         if mode[1] != 0.2:
             # at a tolerance above half the suite's breakpoint spacing (1/16)
-            # `align` refines f and g to different point sets, and the
-            # pointwise operations then fail to build a function
+            # `align` can merge two points of one function into one point
+            # of the other, and then raises RepresentationError
             inputs += [pw.pointwise_add(f, g), pw.pointwise_mul(f, g)]
         for h in inputs:
             assert pw.normalize(h) == _normalize_fixpoint(h)
@@ -283,6 +283,19 @@ class TestAlign:
                 x = Fraction(rng.randint(-990, 990), 1000)
                 assert f.eval_at(x) == f2.eval_at(x)
                 assert g.eval_at(x) == g2.eval_at(x)
+
+
+    def test_tolerance_merging_two_breakpoints_rejected(self):
+        # 3/4 lies within 0.2 of both 5/8 and 7/8, so refining f would drop
+        # it while refining g drops both of f's points
+        with scalars.engine_mode("float", 0.2):
+            f, g = suite.h_continuous_suite(0, 2)
+            assert f.breakpoints == (-0.875, 0, 0.625, 0.875)
+            assert g.breakpoints == (-0.25, 0.75)
+            message = r"tolerance 0\.2 merges the breakpoints 0\.625 and 0\.875"
+            for operation in (pw.align, pw.pointwise_add, pw.pointwise_mul):
+                with pytest.raises(RepresentationError, match=message):
+                    operation(f, g)
 
 
 class TestPointwiseOps:
