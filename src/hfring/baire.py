@@ -6,6 +6,16 @@ removing finitely many points never changes a one-sided limit of a
 continuous piece.  All the work happens at breakpoints, where the operator
 value is an exact min/max over the abutting envelope data and, when the
 point belongs to the dense set, the stored value itself.
+
+`fis` and `fsi` compose three of these operators over the whole domain,
+and are computed in one pass.  Write u- and u+ for the upper bound's
+envelopes on either side of a breakpoint.  S(f) there is the largest of
+u-.limsup, u+.limsup and the upper end of the point value.  I of that is
+the smallest of u-.liminf, u+.liminf and S(f)'s value; that value is at
+least every limsup, hence never below the smaller liminf, so the point
+value of f drops out.  F then widens the result up to the larger limsup.
+So F(I(S(f))) is the upper bound on every piece and the hull of u- and u+
+at every breakpoint; F(S(I(f))) is the same with the lower bound.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from . import piecewise as pw
 from .errors import DomainError, EngineError
 from .interval import Interval
 from .piecewise import DenseSubsetSpec, HFunction, Piece, SpecialPoint
-from .scalars import Scalar, to_scalar
+from .scalars import Scalar, scalar_eq, to_scalar
 
 __all__ = [
     "DenseSubsetSpec",
@@ -50,19 +60,17 @@ def _envelope_function(
         lo, hi = pw.completion_bounds(g, i, spec.admits(point.x))
         v = lo if lower else hi
         points.append(SpecialPoint(point.x, Interval(v, v)))
-    pieces: List[Piece] = []
-    for p in g.pieces:
-        if lower:
-            pieces.append(
-                Piece(p.lo, p.hi, p.lower, p.lower,
-                      p.lower_left, p.lower_right, p.lower_left, p.lower_right)
-            )
-        else:
-            pieces.append(
-                Piece(p.lo, p.hi, p.upper, p.upper,
-                      p.upper_left, p.upper_right, p.upper_left, p.upper_right)
-            )
+    pieces = [_bound_piece(p, lower) for p in g.pieces]
     return pw.normalize(HFunction(g.domain, tuple(points), tuple(pieces)))
+
+
+def _bound_piece(p: Piece, lower: bool) -> Piece:
+    """The real-valued piece that keeps one bound of p with its envelopes."""
+    if lower:
+        return Piece(p.lo, p.hi, p.lower, p.lower,
+                     p.lower_left, p.lower_right, p.lower_left, p.lower_right)
+    return Piece(p.lo, p.hi, p.upper, p.upper,
+                 p.upper_left, p.upper_right, p.upper_left, p.upper_right)
 
 
 def lower_baire(f: HFunction, spec: Optional[DenseSubsetSpec] = None) -> HFunction:
@@ -95,15 +103,45 @@ def graph_completion(f: HFunction, spec: Optional[DenseSubsetSpec] = None) -> HF
     return pw.normalize(HFunction(g.domain, tuple(points), tuple(g.pieces)))
 
 
+def _completed_bound(f: HFunction, lower: bool) -> HFunction:
+    """Shared body of `fis` and `fsi`: keep one bound on the pieces and give
+    each breakpoint the hull of that bound's two abutting envelopes."""
+    # a list, not tuple() over a generator: that tuple is built by resizing,
+    # and such long-lived results raised peak memory on every ring pass
+    pieces = [_bound_piece(p, lower) for p in f.pieces]
+    points = []
+    for i, point in enumerate(f.points):
+        ll, lr, ul, ur = pw.side_envelopes(f, i)
+        left, right = (ll, lr) if lower else (ul, ur)
+        value = Interval(min(left.liminf, right.liminf), max(left.limsup, right.limsup))
+        if not value.is_point and scalar_eq(value.lo, value.hi):
+            # float mode: the composition prunes such a point at its inner
+            # stage, where the value is still a point
+            inner = SpecialPoint(point.x, Interval(value.lo, value.lo))
+            if pw._removable(inner, pieces[i], pieces[i + 1]):
+                value = inner.value
+        points.append(SpecialPoint(point.x, value))
+    return pw.normalize(HFunction(f.domain, tuple(points), tuple(pieces)))
+
+
 def fis(f: HFunction) -> HFunction:
-    """Graph completion of lower-of-upper: F(I(S(f))).  Always Hausdorff
-    continuous; fixes H-continuous inputs."""
-    return graph_completion(lower_baire(upper_baire(f)))
+    """Graph completion of lower-of-upper, F(I(S(f))), over the whole domain.
+
+    In closed form: the upper bound on every piece and, at each breakpoint,
+    [min of the liminfs, max of the limsups] of the upper bound's envelopes
+    on both sides.  The point value of f never enters: the minimum that I
+    takes already lies below everything S puts at the point (see the module
+    docstring).  Always Hausdorff continuous; fixes H-continuous inputs.
+    Raises EnvelopeError when a breakpoint lacks envelope data."""
+    return _completed_bound(f, lower=False)
 
 
 def fsi(f: HFunction) -> HFunction:
-    """Graph completion of upper-of-lower: F(S(I(f))).  Dual of `fis`."""
-    return graph_completion(upper_baire(lower_baire(f)))
+    """Graph completion of upper-of-lower, F(S(I(f))): the dual of `fis`,
+    with the lower bound and its envelopes in place of the upper.  Here the
+    maximum that S takes already lies above everything I puts at the point,
+    so again the point value never enters."""
+    return _completed_bound(f, lower=True)
 
 
 # ---------------------------------------------------------------------------

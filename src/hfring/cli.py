@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .interval import distance as iv_distance
 from .piecewise import Domain, HFunction
-from .scalars import format_scalar, parse_scalar, set_mode, set_seed
+from .scalars import Scalar, format_scalar, parse_scalar, set_mode, set_seed
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -53,6 +54,9 @@ _EXIT_CODES = (
 )
 
 
+# parse_args leaves the parser as it was (an `append` option copies its
+# default list before appending to it), so one tree serves every call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hfring",
@@ -103,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("defs")
     p_grid.add_argument("expr")
     p_grid.add_argument("--h", dest="steps", nargs="+", required=True)
-    p_grid.add_argument("--x0", default=None)
-    p_grid.add_argument("--width", default=None)
+    p_grid.add_argument("--x0", default=None, help="first grid node (with --width)")
+    p_grid.add_argument("--width", default=None, help="span of the grid (with --x0)")
     p_grid.add_argument("-o", "--output", default="-")
 
     p_cmp = sub.add_parser("compare-defs",
@@ -160,6 +164,15 @@ class _CliError(Exception):
         self.code = code
 
 
+def _number(text: str, what: str) -> Scalar:
+    """Read a numeric argument in the current mode; a malformed number is a
+    parse error (exit 2)."""
+    try:
+        return parse_scalar(text)
+    except EngineError as exc:
+        raise _CliError(EXIT_PARSE, f"bad {what} {text!r}: {exc}") from exc
+
+
 def _bound(bindings: Dict[str, HFunction], name: str) -> HFunction:
     if name not in bindings:
         raise UnboundOperandError(f"unbound name {name!r}")
@@ -170,7 +183,9 @@ def _declared_map(declare_args) -> Optional[dict]:
     if not declare_args:
         return None
     return {
-        parse_scalar(x): (parse_scalar(a), parse_scalar(b))
+        _number(x, "--declare point"): (
+            _number(a, "--declare liminf"), _number(b, "--declare limsup")
+        )
         for x, a, b in declare_args
     }
 
@@ -233,10 +248,7 @@ def cmd_eval(args) -> int:
     f = _bound(_load(args.defs), args.name)
     lines = []
     for text in args.points:
-        try:
-            x = parse_scalar(text)
-        except EngineError as exc:
-            raise _CliError(EXIT_PARSE, f"bad point {text!r}: {exc}") from exc
+        x = _number(text, "point")
         value = f.eval_at(x)
         lines.append(
             f"{format_scalar(x)} {format_scalar(value.lo)} {format_scalar(value.hi)}"
@@ -253,7 +265,7 @@ def cmd_op(args) -> int:
 
 
 def cmd_verify_ring(args) -> int:
-    domain = Domain.of(parse_scalar(args.domain[0]), parse_scalar(args.domain[1]))
+    domain = Domain.of(*(_number(end, "--domain end") for end in args.domain))
     functions = suite.h_continuous_suite(
         args.seed, args.count, domain, args.max_jumps
     )
@@ -269,15 +281,17 @@ def cmd_verify_ring(args) -> int:
 
 def cmd_sample(args) -> int:
     f = _bound(_load(args.defs), args.name)
-    grid = baire.grid_sample(f, parse_scalar(args.x0), parse_scalar(args.h), args.n)
+    grid = baire.grid_sample(f, _number(args.x0, "x0"), _number(args.h, "h"), args.n)
     with open(args.output, "w", encoding="utf-8", newline="") as fp:
         formats.grid_to_csv(grid, fp)
     return EXIT_OK
 
 
 def _grid_window(args, result: HFunction):
-    if args.x0 is not None and args.width is not None:
-        return parse_scalar(args.x0), parse_scalar(args.width)
+    if (args.x0 is None) != (args.width is None):
+        raise _CliError(EXIT_PARSE, "--x0 and --width go together")
+    if args.x0 is not None:
+        return _number(args.x0, "--x0"), _number(args.width, "--width")
     domain = result.domain
     if domain.lo is None or domain.hi is None:
         raise DomainError("grid-converge needs --x0/--width on unbounded domains")
@@ -290,7 +304,7 @@ def cmd_grid_converge(args) -> int:
     tree = algebra.parse_operand_expr(args.expr)
     exact = algebra.eval_expr(tree, bindings, mode="ring")
     pointwise = algebra.eval_expr(tree, bindings, mode="pointwise")
-    steps = [parse_scalar(h) for h in args.steps]
+    steps = [_number(h, "--h") for h in args.steps]
     x0, width = _grid_window(args, exact)
     # measurement points stay a fixed margin away from every jump of the
     # sampled data, so the one-cell smear never enters the error
@@ -386,8 +400,7 @@ def cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     set_mode(args.mode, args.tol)
     set_seed(args.seed)
     handlers = {

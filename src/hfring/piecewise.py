@@ -17,6 +17,7 @@ expressions merge, which gives a canonical form and decidable equality.
 
 from __future__ import annotations
 
+import operator
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, replace
@@ -39,6 +40,7 @@ from .scalars import (
     FLOAT,
     RATIONAL,
     Scalar,
+    check_finite,
     get_mode,
     get_seed,
     get_tolerance,
@@ -50,6 +52,7 @@ EVALUATED = "evaluated"
 DECLARED = "declared"
 ESTIMATED = "estimated"
 _PROV_RANK = {EVALUATED: 0, DECLARED: 1, ESTIMATED: 2}
+_PROV_BY_RANK = (EVALUATED, DECLARED, ESTIMATED)
 
 # Window half-width used when a sampled check meets an unbounded piece end.
 _INF_WINDOW = 8
@@ -604,20 +607,26 @@ def align(f: HFunction, g: HFunction) -> Tuple[HFunction, HFunction]:
 
 
 def _combine_env(
-    a: Optional[EndEnvelope], b: Optional[EndEnvelope], box_op
+    a: Optional[EndEnvelope], b: Optional[EndEnvelope], op
 ) -> Optional[EndEnvelope]:
-    """Envelope calculus: exact limits combine to exact limits; a point
-    limit shifts the other envelope exactly; anything else falls back to
-    the conservative interval operation on the envelope boxes."""
+    """Envelope calculus for ``op`` (`operator.add` or `operator.mul`):
+    point limits combine as scalars; a point limit shifts the other envelope
+    exactly; anything else falls back to the conservative interval
+    operation on the envelope boxes."""
     if a is None or b is None:
         return None
-    box = box_op(Interval(a.liminf, a.limsup), Interval(b.liminf, b.limsup))
-    if a.is_exact_limit or b.is_exact_limit:
-        rank = max(_PROV_RANK[a.provenance], _PROV_RANK[b.provenance])
-        provenance = {0: EVALUATED, 1: DECLARED, 2: ESTIMATED}[rank]
-    else:
-        provenance = ESTIMATED
+    rank = max(_PROV_RANK[a.provenance], _PROV_RANK[b.provenance])
+    if a.liminf == a.limsup and b.liminf == b.limsup:
+        # the box would be a point; two point estimates rank as estimated,
+        # so the table alone gives the provenance
+        v = check_finite(op(a.liminf, b.liminf))
+        return EndEnvelope(v, v, _PROV_BY_RANK[rank])
+    box = _BOX_OPS[op](Interval(a.liminf, a.limsup), Interval(b.liminf, b.limsup))
+    provenance = _PROV_BY_RANK[rank] if a.is_exact_limit or b.is_exact_limit else ESTIMATED
     return EndEnvelope(box.lo, box.hi, provenance)
+
+
+_BOX_OPS = {operator.add: iv.add, operator.mul: iv.mul}
 
 
 def pointwise_add(f: HFunction, g: HFunction) -> HFunction:
@@ -634,10 +643,10 @@ def pointwise_add(f: HFunction, g: HFunction) -> HFunction:
         pieces.append(
             Piece(
                 a.lo, a.hi, lower, upper,
-                _combine_env(a.lower_left, b.lower_left, iv.add),
-                _combine_env(a.lower_right, b.lower_right, iv.add),
-                _combine_env(a.upper_left, b.upper_left, iv.add),
-                _combine_env(a.upper_right, b.upper_right, iv.add),
+                _combine_env(a.lower_left, b.lower_left, operator.add),
+                _combine_env(a.lower_right, b.lower_right, operator.add),
+                _combine_env(a.upper_left, b.upper_left, operator.add),
+                _combine_env(a.upper_right, b.upper_right, operator.add),
             )
         )
     return HFunction(f.domain, tuple(points), tuple(pieces))
@@ -686,10 +695,10 @@ def pointwise_mul(f: HFunction, g: HFunction) -> HFunction:
             pieces.append(
                 Piece(
                     a.lo, a.hi, prod, prod,
-                    _combine_env(a.lower_left, b.lower_left, iv.mul),
-                    _combine_env(a.lower_right, b.lower_right, iv.mul),
-                    _combine_env(a.upper_left, b.upper_left, iv.mul),
-                    _combine_env(a.upper_right, b.upper_right, iv.mul),
+                    _combine_env(a.lower_left, b.lower_left, operator.mul),
+                    _combine_env(a.lower_right, b.lower_right, operator.mul),
+                    _combine_env(a.upper_left, b.upper_left, operator.mul),
+                    _combine_env(a.upper_right, b.upper_right, operator.mul),
                 )
             )
         else:
@@ -723,10 +732,10 @@ def _mul_proper_pieces(a: Piece, b: Piece) -> Piece:
 
     return Piece(
         a.lo, a.hi, lower, upper,
-        _combine_env(env(a, low_slots[0], "left"), env(b, low_slots[1], "left"), iv.mul),
-        _combine_env(env(a, low_slots[0], "right"), env(b, low_slots[1], "right"), iv.mul),
-        _combine_env(env(a, high_slots[0], "left"), env(b, high_slots[1], "left"), iv.mul),
-        _combine_env(env(a, high_slots[0], "right"), env(b, high_slots[1], "right"), iv.mul),
+        _combine_env(env(a, low_slots[0], "left"), env(b, low_slots[1], "left"), operator.mul),
+        _combine_env(env(a, low_slots[0], "right"), env(b, low_slots[1], "right"), operator.mul),
+        _combine_env(env(a, high_slots[0], "left"), env(b, high_slots[1], "left"), operator.mul),
+        _combine_env(env(a, high_slots[0], "right"), env(b, high_slots[1], "right"), operator.mul),
     )
 
 

@@ -98,7 +98,10 @@ def to_scalar(value) -> Scalar:
                 raise EngineError("non-finite value has no rational scalar")
             return Fraction(str(value))
         raise EngineError(f"cannot coerce {value!r} to a rational scalar")
-    result = float(value)
+    try:
+        result = float(value)
+    except OverflowError as exc:  # a Fraction beyond the float range
+        raise NumericRangeError("number beyond the float range") from exc
     if not math.isfinite(result):
         raise NumericRangeError(f"non-finite scalar {value!r}")
     return result

@@ -2,16 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hfring import baire
 from hfring import expr as ex
 from hfring import interval as iv
 from hfring import piecewise as pw
-from hfring import suite
+from hfring import scalars, suite
 from hfring.baire import DenseSubsetSpec, GridFunction
-from hfring.errors import DomainError, EngineError
+from hfring.errors import DomainError, EngineError, EnvelopeError, RepresentationError
 from hfring.interval import Interval
 from hfring.piecewise import Domain
+
+from conftest import make_oscillation_pair
 
 
 def F(v):
@@ -99,6 +102,86 @@ class TestFisFsi:
         for _ in range(40):
             f = suite.random_s_continuous(rng, proper_piece_chance=0.0)
             assert pw.func_equal(baire.fis(f), baire.fsi(f))
+
+
+def _fis_reference(f):
+    """F(I(S(f))) composed from the three operators."""
+    return baire.graph_completion(baire.lower_baire(baire.upper_baire(f)))
+
+
+def _fsi_reference(f):
+    """F(S(I(f))) composed from the three operators."""
+    return baire.graph_completion(baire.upper_baire(baire.lower_baire(f)))
+
+
+def _envelopes(f):
+    return [(p.lower_left, p.lower_right, p.upper_left, p.upper_right) for p in f.pieces]
+
+
+def _assert_closed_form_matches(f):
+    for closed, reference in ((baire.fis, _fis_reference), (baire.fsi, _fsi_reference)):
+        got, want = closed(f), reference(f)
+        assert pw.func_equal(got, want)
+        assert _envelopes(got) == _envelopes(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    mode=st.sampled_from([(scalars.RATIONAL, None), (scalars.FLOAT, 1e-9)]),
+    kind=st.sampled_from(["h", "s", "oscillation"]),
+    combine=st.sampled_from(["none", "add", "mul"]),
+)
+def test_closed_form_is_the_composition(seed, mode, kind, combine):
+    # the oscillating pair has declared envelopes and exists in float mode only
+    assume(kind != "oscillation" or mode[0] == scalars.FLOAT)
+    with scalars.engine_mode(*mode):
+        if kind == "oscillation":
+            f, g = make_oscillation_pair()
+        else:
+            make = suite.h_continuous_suite if kind == "h" else suite.s_continuous_suite
+            f, g = make(seed, 2)
+        try:
+            if combine == "add":
+                f = pw.pointwise_add(f, g)
+            elif combine == "mul":
+                f = pw.pointwise_mul(f, g)
+        except RepresentationError:
+            # a product of proper interval pieces whose winning bound
+            # product changes inside a piece
+            assume(False)
+        _assert_closed_form_matches(f)
+
+
+def test_closed_form_prunes_where_the_composition_does(float_mode):
+    # both sides of the sum are 1 + x, but the evaluated limits at 1/10 are
+    # 1.1 from the left and 1.0999999999999999 from the right: within the
+    # tolerance, so the composition prunes the point at its inner stage
+    x0 = 0.1
+    def jump(left, right):
+        el, er = ex.poly_expr(left), ex.poly_expr(right)
+        vl, vr = ex.eval_finite(el, x0), ex.eval_finite(er, x0)
+        return pw.hfunction(
+            Domain.of(-1, 1), [(x0, Interval(min(vl, vr), max(vl, vr)))],
+            [pw.make_piece(-1.0, x0, el), pw.make_piece(x0, 1.0, er)], validate=False,
+        )
+    s = pw.pointwise_add(jump([0.1, 0.1], [0.3, 0.1]), jump([0.9, 0.9], [0.7, 0.9]))
+    assert s.pieces[0].upper_right != s.pieces[1].upper_left
+    _assert_closed_form_matches(s)
+    assert baire.fis(s).points == ()
+
+
+def test_closed_form_needs_envelopes_at_breakpoints(step_pair):
+    f, _ = step_pair
+    left = f.pieces[0]
+    bare = pw.HFunction(f.domain, f.points, (
+        pw.Piece(left.lo, left.hi, left.lower, left.upper,
+                 left.lower_left, None, left.upper_left, None),
+        f.pieces[1],
+    ))
+    for operator in (baire.fis, baire.fsi):
+        with pytest.raises(EnvelopeError, match="missing envelope"):
+            operator(bare)
 
 
 class TestIsotonicity:

@@ -305,3 +305,40 @@ class TestValidate:
         assert all(c["passed"] for c in data["f"]["envelopes"])
         assert all(-1 <= c["observed_min"] < c["observed_max"] <= 1
                    for c in data["f"]["envelopes"])
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse rejects a malformed int or float option
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", STEP, "f", "1/0"],
+    ["--mode", "float", "eval", STEP, "f", "1e400"],
+    ["sample", STEP, "f", "0", "1/0", "3", "OUT"],
+    ["sample", STEP, "f", "zero", "1", "3", "OUT"],
+    ["verify-ring", "--count", "2", "--domain", "0", "1/0"],
+    ["grid-converge", STEP, "f + g", "--h", "1/0"],
+    ["grid-converge", STEP, "f + g", "--h", "1/2", "--x0", "-2", "--width", "four"],
+    ["grid-converge", STEP, "f + g", "--h", "1/2", "--x0", "-2"],
+    ["op", STEP, "f + g", "--declare", "0", "-1", "1/0"],
+    ["compare-defs", STEP, "f", "g", "--tol", "1/0"],
+    ["compare-defs", STEP, "f", "g", "--depth", "1/2"],
+], ids=["eval", "eval-float-range", "sample-h", "sample-x0", "verify-ring-domain",
+        "grid-h", "grid-width", "grid-x0-alone", "op-declare", "compare-tol", "compare-depth"])
+def test_bad_number_exit_2(argv, tmp_path, capsys):
+    argv = [str(tmp_path / "out.csv") if arg == "OUT" else arg for arg in argv]
+    assert _exit_code(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_keeps_no_declarations(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_op", lambda args: seen.append(args.declare) or 0)
+    for declare in (["0", "-1", "1"], ["1/2", "0", "0"], []):
+        argv = ["op", STEP, "f + g"] + (["--declare", *declare] if declare else [])
+        assert cli.main(argv) == 0
+    assert seen == [[["0", "-1", "1"]], [["1/2", "0", "0"]], []]
+    assert cli.build_parser.cache_info().currsize == 1

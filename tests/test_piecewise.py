@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hfring import expr as ex
 from hfring import interval as iv
 from hfring import piecewise as pw
 from hfring import algebra, baire, formats, scalars, suite
-from hfring.errors import DomainError, PieceError, RepresentationError
+from hfring.errors import DomainError, NumericRangeError, PieceError, RepresentationError
 from hfring.interval import Interval
 from hfring.piecewise import Domain
 
@@ -351,6 +352,54 @@ class TestPointwiseOps:
         )
         with pytest.raises(RepresentationError):
             pw.pointwise_mul(a, a)
+
+
+def _combine_env_box(a, b, box_op):
+    """Reference: the envelope calculus on boxes for every pair of
+    envelopes, point limits included."""
+    box = box_op(Interval(a.liminf, a.limsup), Interval(b.liminf, b.limsup))
+    if a.is_exact_limit or b.is_exact_limit:
+        rank = max(pw._PROV_RANK[a.provenance], pw._PROV_RANK[b.provenance])
+        provenance = (pw.EVALUATED, pw.DECLARED, pw.ESTIMATED)[rank]
+    else:
+        provenance = pw.ESTIMATED
+    return pw.EndEnvelope(box.lo, box.hi, provenance)
+
+
+PROVENANCES = [pw.EVALUATED, pw.DECLARED, pw.ESTIMATED]
+
+
+class TestCombineEnvelopes:
+    @pytest.mark.parametrize("pa", PROVENANCES)
+    @pytest.mark.parametrize("pb", PROVENANCES)
+    @pytest.mark.parametrize("op, box_op", [(operator.add, iv.add), (operator.mul, iv.mul)],
+                             ids=["add", "mul"])
+    def test_point_limits_combine_as_the_box_does(self, pa, pb, op, box_op):
+        a = pw.EndEnvelope(F("-3/4"), F("-3/4"), pa)
+        b = pw.EndEnvelope(F(2), F(2), pb)
+        assert pw._combine_env(a, b, op) == _combine_env_box(a, b, box_op)
+        assert pw._combine_env(b, a, op) == _combine_env_box(b, a, box_op)
+
+    def test_only_a_non_point_envelope_takes_the_box(self, monkeypatch):
+        boxes = []
+        def recording_mul(x, y):
+            boxes.append((x, y))
+            return iv.mul(x, y)
+        monkeypatch.setitem(pw._BOX_OPS, operator.mul, recording_mul)
+        wide = pw.EndEnvelope(F(-1), F(1), pw.DECLARED)
+        three = pw.EndEnvelope(F(3), F(3))
+        assert pw._combine_env(three, three, operator.mul) == pw.EndEnvelope(F(9), F(9))
+        assert boxes == []
+        assert pw._combine_env(wide, three, operator.mul) == pw.EndEnvelope(
+            F(-3), F(3), pw.DECLARED
+        )
+        assert boxes == [(Interval.of(-1, 1), Interval.of(3, 3))]
+
+    @pytest.mark.parametrize("op", [operator.add, operator.mul], ids=["add", "mul"])
+    def test_float_overflow_raises(self, float_mode, op):
+        big = pw.EndEnvelope(1.5e308, 1.5e308)
+        with pytest.raises(NumericRangeError):
+            pw._combine_env(big, big, op)
 
 
 class TestSupport:
