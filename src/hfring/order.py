@@ -17,8 +17,10 @@ of regularized piecewise-linear functions move along p + c/(n-k)
 trajectories, whose limit three doubling samples determine exactly) and
 the limit's values there are recovered by graph completion.  For
 inf-convolution sequences of piecewise-linear functions the whole
-procedure is exact in rational mode; the reported residual measures how
-far the deepest element still is from the completed limit.  Sequences
+procedure is exact in rational mode and takes no samples.  The reported
+residual is the width of the widest disagreement zone between the two
+deepest elements (0 when they agree everywhere); for inf-convolution
+sequences it shrinks like c/n.  Sequences
 whose piece expressions keep drifting (instead of their breakpoints)
 stabilize only up to the float-mode tolerance and raise ConvergenceError
 in rational mode.
@@ -175,8 +177,7 @@ def infconv_approx(f: HFunction, n: int, direction: str = FROM_BELOW) -> HFuncti
     if direction not in (FROM_BELOW, FROM_ABOVE):
         raise EngineError(f"unknown direction {direction!r}")
     if direction == FROM_ABOVE:
-        mirrored = infconv_approx(pw.pointwise_neg(f), n, FROM_BELOW)
-        return pw.normalize(pw.pointwise_neg(mirrored))
+        return pw.pointwise_neg(infconv_approx(pw.pointwise_neg(f), n, FROM_BELOW))
     if not f.is_piecewise_linear:
         raise NotPiecewiseLinear("inf-convolution needs piecewise-linear operands")
     if not pw.is_H_continuous(f):
@@ -259,41 +260,40 @@ class OrderLimitWitness:
 
 @dataclass(frozen=True)
 class LimitResult:
+    """The order limit and how it was found.  ``residual`` is the width of
+    the widest zone where the elements at depths 4N and 8N still disagree:
+    an exact scalar, 0 when they agree everywhere."""
+
     limit: HFunction
-    residual: float
+    residual: Scalar
     witness: Optional[OrderLimitWitness]
     collapse_points: Tuple[Scalar, ...]
 
 
 def _stability_zones(h_a: HFunction, h_b: HFunction):
-    """Maximal spans where the two representations disagree."""
+    """Maximal spans where the two representations disagree.
+
+    One walk over the aligned pieces and points, in domain order: a zone
+    opens at the first disagreeing element and closes at the last one
+    before an element that agrees.
+    """
     a, b = pw.align(h_a, h_b)
-    n = len(a.points)
-    flags: List[Tuple[str, int, bool]] = []
-    for i in range(n + 1):
-        pa, pb = a.pieces[i], b.pieces[i]
-        ok = pw.piece_expr_equal(
+    bounds = (a.domain.lo, *a.breakpoints, a.domain.hi)
+    zones: List[Tuple[Optional[Scalar], Optional[Scalar]]] = []
+    agreed = True
+    for i, (pa, pb) in enumerate(zip(a.pieces, b.pieces)):
+        same_piece = pw.piece_expr_equal(
             pa.lower, pb.lower, pa.lo, pa.hi, tag=("stab-lo", i)
         ) and pw.piece_expr_equal(pa.upper, pb.upper, pa.lo, pa.hi, tag=("stab-hi", i))
-        flags.append(("piece", i, ok))
-        if i < n:
-            flags.append(("point", i, iv.interval_eq(a.points[i].value, b.points[i].value)))
-    bounds = [a.domain.lo] + [p.x for p in a.points] + [a.domain.hi]
-    zones = []
-    j = 0
-    while j < len(flags):
-        if flags[j][2]:
-            j += 1
-            continue
-        start = j
-        while j < len(flags) and not flags[j][2]:
-            j += 1
-        end = j - 1
-        kind_s, idx_s, _ = flags[start]
-        kind_e, idx_e, _ = flags[end]
-        left = bounds[idx_s] if kind_s == "piece" else bounds[idx_s + 1]
-        right = bounds[idx_e + 1]
-        zones.append((left, right))
+        elements = [(bounds[i], bounds[i + 1], same_piece)]  # (left, right, agrees)
+        if i < len(a.points):
+            same_point = iv.interval_eq(a.points[i].value, b.points[i].value)
+            elements.append((bounds[i + 1], bounds[i + 1], same_point))
+        for left, right, agrees in elements:
+            if not agrees:
+                start = left if agreed else zones.pop()[0]
+                zones.append((start, right))
+            agreed = agrees
     return zones
 
 
@@ -380,8 +380,7 @@ def order_limit_stabilized(seq: FunctionSequence, depth: int) -> LimitResult:
     )
     completion = baire.fsi if seq.monotonicity == "decreasing" else baire.fis
     if not scans[2]:
-        limit = pw.normalize(completion(e8))
-        return LimitResult(limit, 0.0, None, ())
+        return LimitResult(completion(e8), to_scalar(0), None, ())
     if not scans[0] or not scans[1]:
         raise ConvergenceError("sequence oscillates: disagreement reappears at depth")
     collapses = _collapse_points(scans, depth)
@@ -414,9 +413,8 @@ def order_limit_stabilized(seq: FunctionSequence, depth: int) -> LimitResult:
         # the hull of the abutting envelopes, and the left lower limit is one
         points.append((x, Interval.point(pieces[i].lower_right.liminf)))
     phi = pw.hfunction(e8.domain, points, pieces, validate=False)
-    limit = pw.normalize(completion(phi))
-    residual = _limit_residual(limit, e8, spans)
-    return LimitResult(limit, residual, None, tuple(collapse_xs))
+    residual = max(r - l for l, r in scans[2])
+    return LimitResult(completion(phi), residual, None, tuple(collapse_xs))
 
 
 def _stable_probe(u: Optional[Scalar], w: Optional[Scalar], spans) -> Scalar:
@@ -434,32 +432,18 @@ def _stable_probe(u: Optional[Scalar], w: Optional[Scalar], spans) -> Scalar:
     return a + (b - a) / 2
 
 
-def _limit_residual(limit: HFunction, element: HFunction, spans) -> float:
-    xs = pw.func_sample_points(limit, 128, tag="residual")
-    for (l, r) in spans:
-        mid = l + (r - l) / 2
-        if limit.domain.contains(mid):
-            xs.append(mid)
-    worst = 0.0
-    for x in xs:
-        if limit.point_index(x) is not None:
-            continue
-        d = iv.distance(limit.eval_at(x), element.eval_at(x))
-        worst = max(worst, float(d))
-    return worst
+_SPOT_DEPTH = 3  # leading consecutive pairs whose monotonicity is checked
 
 
-def order_limit_monotone(
-    seq: FunctionSequence, depth: int = 64, spot_depth: int = 3
-) -> LimitResult:
+def order_limit_monotone(seq: FunctionSequence, depth: int = 64) -> LimitResult:
     """Order limit of a monotone sequence, with a squeezing witness.
 
     The limit itself is computed by stabilization; monotonicity is verified
-    on the first ``spot_depth`` consecutive pairs plus the depth pair.
+    on the first ``_SPOT_DEPTH`` consecutive pairs plus the depth pair.
     """
     if seq.monotonicity not in ("increasing", "decreasing"):
         raise EngineError("order_limit_monotone needs a monotone-tagged sequence")
-    if not seq.spot_check_monotone(spot_depth):
+    if not seq.spot_check_monotone(_SPOT_DEPTH):
         raise EngineError(f"sequence is not {seq.monotonicity} on its first elements")
     a, b = seq.element(depth), seq.element(2 * depth)
     ordered = (a, b) if seq.monotonicity == "increasing" else (b, a)
@@ -505,7 +489,9 @@ def verify_cauchy(
     m, k >= n is dominated by beta_n, and beta approaches zero.
 
     Ring subtraction (via the additive inverse) is used for the increments.
-    Report-only; a failing witness does not prove the sequence non-Cauchy.
+    ``beta_residual`` is the sup of |beta_depth| over the domain, special
+    points included (`max_deviation` from 0).  Report-only; a failing
+    witness does not prove the sequence non-Cauchy.
     """
     if not beta.spot_check_monotone(min(depth, 4)) or beta.monotonicity != "decreasing":
         return CauchyReport(False, "beta is not a decreasing sequence", math.inf)
@@ -529,10 +515,7 @@ def verify_cauchy(
         if violation:
             break
     last = beta.element(depth)
-    xs = pw.func_sample_points(last, 64, tag="cauchy")
-    residual = max(
-        (float(iv.modulus(last.eval_at(x))) for x in xs), default=0.0
-    )
+    residual = float(max_deviation(last, pw.constant_function(last.domain, 0)))
     passed = violation is None and residual <= tol
     if violation is None and residual > tol:
         violation = f"inf beta_n stays {residual} away from zero at depth {depth}"
@@ -603,10 +586,9 @@ def _def3(f: HFunction, g: HFunction, op: str, depth: int) -> algebra.OpReport:
         algebra.oplus_def1(f, g) if op == "plus" else algebra.otimes_def1(f, g)
     )
     deviation = max_deviation(result.limit, reference.result)
-    pointwise_op = pw.pointwise_add if op == "plus" else pw.pointwise_mul
     return algebra.OpReport(
         result=result.limit,
-        pointwise=pointwise_op(f, g),
+        pointwise=reference.pointwise,
         definition="def3",
         witnesses={"def1": reference.result},
         max_deviation=deviation,

@@ -453,11 +453,14 @@ def hfunction(
     return f
 
 
-def validate_function(f: HFunction, samples_per_piece: int = 64) -> None:
+_VALIDATE_SAMPLES = 64  # samples per piece
+
+
+def validate_function(f: HFunction) -> None:
     """Representation checks: pieces evaluable and finite (no poles
     inside), lower <= upper pointwise, interior envelopes present.  The
-    first two are sampled, except on real polynomial pieces in rational
-    mode, where they hold by construction."""
+    first two are sampled (``_VALIDATE_SAMPLES`` per piece), except on real
+    polynomial pieces in rational mode, where they hold by construction."""
     tol = get_tolerance() if get_mode() == FLOAT else 0
     for i, piece in enumerate(f.pieces):
         for bound in {id(piece.lower): piece.lower, id(piece.upper): piece.upper}.values():
@@ -473,7 +476,7 @@ def validate_function(f: HFunction, samples_per_piece: int = 64) -> None:
         if get_mode() == RATIONAL and piece.is_real and ex.poly_coeffs(piece.lower) is not None:
             samples = []  # finite everywhere and lower is upper: no sample can fail
         else:
-            samples = _span_samples(piece.lo, piece.hi, samples_per_piece, tag=("validate", i))
+            samples = _span_samples(piece.lo, piece.hi, _VALIDATE_SAMPLES, tag=("validate", i))
         for x in samples:
             try:
                 lo_raw = ex.eval_finite(piece.lower, x)
@@ -884,23 +887,23 @@ class EnvelopeCheck:
     message: str
 
 
-def validate_envelopes(
-    f: HFunction,
-    samples_per_decade: int = 64,
-    decades: int = 9,
-    eps: Optional[float] = None,
-    approach_tol: float = 1e-3,
-) -> List[EnvelopeCheck]:
-    """Sample each declared/estimated envelope on a geometric sequence
-    approaching its end.
+_ENVELOPE_SAMPLES_PER_DECADE = 64
+_ENVELOPE_DECADES = 9
+_ENVELOPE_APPROACH_TOL = 1e-3
 
-    Flags values escaping [liminf - eps, limsup + eps] (soundness) and an
-    observed range that fails to come within ``approach_tol`` of the
-    declared bounds (sharpness; necessarily a weaker, sampling-limited
-    check).  Report-only.
+
+def validate_envelopes(f: HFunction) -> List[EnvelopeCheck]:
+    """Sample each declared/estimated envelope on a geometric sequence
+    approaching its end: ``_ENVELOPE_SAMPLES_PER_DECADE`` points per decade
+    over ``_ENVELOPE_DECADES`` decades.
+
+    Flags values escaping [liminf - eps, limsup + eps] (soundness; eps is
+    the tolerance in float mode, 0 in rational mode) and an observed range
+    that fails to come within ``_ENVELOPE_APPROACH_TOL`` of the declared
+    bounds (sharpness; necessarily a weaker, sampling-limited check).
+    Report-only.
     """
-    if eps is None:
-        eps = get_tolerance() if get_mode() == FLOAT else 0.0
+    eps = get_tolerance() if get_mode() == FLOAT else 0.0
     checks: List[EnvelopeCheck] = []
     for i, piece in enumerate(f.pieces):
         ends = (
@@ -916,18 +919,11 @@ def validate_envelopes(
                 if key in seen:
                     continue  # real pieces share one bound and one envelope
                 seen.add(key)
-                checks.append(
-                    _check_envelope(
-                        bound, at, side, env, piece, samples_per_decade, decades,
-                        eps, approach_tol,
-                    )
-                )
+                checks.append(_check_envelope(bound, at, side, env, piece, eps))
     return checks
 
 
-def _check_envelope(
-    bound, at, side, env, piece, samples_per_decade, decades, eps, approach_tol
-) -> EnvelopeCheck:
+def _check_envelope(bound, at, side, env, piece, eps) -> EnvelopeCheck:
     label = "left" if side == "+" else "right"
     if at is None:
         return EnvelopeCheck(None, label, env.provenance, True, None, None,
@@ -935,10 +931,10 @@ def _check_envelope(
     reach = _reach(piece.lo, piece.hi)
     base = min(to_scalar(1), reach / 2)
     sign = to_scalar(1) if side == "+" else to_scalar(-1)
-    ratio = 10 ** (-1.0 / samples_per_decade)
+    ratio = 10 ** (-1.0 / _ENVELOPE_SAMPLES_PER_DECADE)
     observed: List[Scalar] = []
     offset = float(base)
-    total = samples_per_decade * decades
+    total = _ENVELOPE_SAMPLES_PER_DECADE * _ENVELOPE_DECADES
     for _ in range(total):
         offset *= ratio
         x = at + sign * to_scalar(offset)
@@ -956,7 +952,7 @@ def _check_envelope(
             "observed values escape the declared envelope",
         )
     scale = max(1.0, abs(float(env.liminf)), abs(float(env.limsup)))
-    slack = approach_tol * scale
+    slack = _ENVELOPE_APPROACH_TOL * scale
     if float(env.limsup) - float(hi) > slack or float(lo) - float(env.liminf) > slack:
         return EnvelopeCheck(
             at, label, env.provenance, False, lo, hi,

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hfring import algebra, order
+from hfring import algebra, baire, order
 from hfring import expr as ex
 from hfring import interval as iv
 from hfring import piecewise as pw
@@ -123,7 +123,8 @@ class TestOrderLimit:
         f, _ = step_pair
         result = order.order_limit_monotone(order.from_below_sequence(f), depth=16)
         assert pw.func_equal(result.limit, f)
-        assert result.residual == 0.0
+        # the elements at depths 64 and 128 ramp up on (0, 1/64) and (0, 1/128)
+        assert result.residual == Fraction(1, 64)
         witness = result.witness
         assert witness is not None
         for n in (1, 2, 5):
@@ -203,6 +204,27 @@ class TestCauchy:
         report = order.verify_cauchy(seq, beta, depth=6, tol=0.2)
         assert report.passed
 
+    def test_beta_residual_is_the_exact_sup(self):
+        # beta_n is a tent of height 1/n whose apex is a special point: the
+        # sup of |beta_n| is reached there and nowhere inside a piece
+        dom = Domain.of(-1, 1)
+
+        def tent(n):
+            h = Fraction(1, n)
+            return pw.hfunction(dom, [(F(0), Interval.of(h, h))], [
+                pw.make_piece(F(-1), F(0), ex.poly_expr([h, h])),
+                pw.make_piece(F(0), F(1), ex.poly_expr([h, -h])),
+            ])
+
+        seq = FunctionSequence(lambda n: pw.constant_function(dom, 5), "increasing")
+        beta = FunctionSequence(tent, "decreasing")
+        report = order.verify_cauchy(seq, beta, depth=4, tol=0.25)
+        assert report.beta_residual == 0.25
+        assert report.passed
+        report = order.verify_cauchy(seq, beta, depth=4, tol=0.2499)
+        assert not report.passed
+        assert "stays 0.25 away" in report.first_violation
+
     def test_oscillating_sequence_fails(self):
         dom = Domain.of(-1, 1)
         seq = FunctionSequence(
@@ -248,6 +270,18 @@ class TestDef3:
         f, g = oscillation_pair
         with pytest.raises(NotPiecewiseLinear):
             order.oplus_def3(f, g, depth=8)
+
+    def test_rational_route_takes_no_samples(self, monkeypatch):
+        functions = suite.h_continuous_suite(66, 8, Domain.of(-1, 1))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled in rational mode")
+
+        monkeypatch.setattr(pw, "_span_samples", refuse)
+        for f, g in zip(functions[::2], functions[1::2]):
+            for op in (order.oplus_def3, order.otimes_def3):
+                assert op(f, g, depth=4096).max_deviation == 0
+
 
 
 class TestMixture:
@@ -416,3 +450,60 @@ def test_infconv_float_mode_drops_a_flat_narrower_than_the_tolerance(float_mode)
     m = order.infconv_approx(f, 1)
     assert m.breakpoints == (0, 0.5, 1)
     assert abs(m.eval_at(0.5).lo - h) <= 1e-9
+
+
+def _flag_scan_zones(h_a, h_b):
+    """The zone scan as a list of ("piece"|"point", i, agrees) flags and a
+    loop over its runs: the reference for `order._stability_zones`."""
+    a, b = pw.align(h_a, h_b)
+    n = len(a.points)
+    flags = []
+    for i in range(n + 1):
+        pa, pb = a.pieces[i], b.pieces[i]
+        ok = pw.piece_expr_equal(
+            pa.lower, pb.lower, pa.lo, pa.hi, tag=("stab-lo", i)
+        ) and pw.piece_expr_equal(pa.upper, pb.upper, pa.lo, pa.hi, tag=("stab-hi", i))
+        flags.append(("piece", i, ok))
+        if i < n:
+            flags.append(("point", i, iv.interval_eq(a.points[i].value, b.points[i].value)))
+    bounds = [a.domain.lo] + [p.x for p in a.points] + [a.domain.hi]
+    zones = []
+    j = 0
+    while j < len(flags):
+        if flags[j][2]:
+            j += 1
+            continue
+        start = j
+        while j < len(flags) and not flags[j][2]:
+            j += 1
+        kind_s, idx_s, _ = flags[start]
+        _, idx_e, _ = flags[j - 1]
+        left = bounds[idx_s] if kind_s == "piece" else bounds[idx_s + 1]
+        zones.append((left, bounds[idx_e + 1]))
+    return zones
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.sampled_from([1, 2, 3, 16]),
+    combine=st.sampled_from([pw.pointwise_add, pw.pointwise_mul]),
+    ends=st.sampled_from(sorted(_ENDS)),
+    mode=st.sampled_from([(scalars.RATIONAL, None), (scalars.FLOAT, 1e-9)]),
+)
+def test_zone_walk_is_the_flag_scan(seed, n, combine, ends, mode):
+    with scalars.engine_mode(*mode):
+        f, g = (_with_domain(h, Domain.of(*_ENDS[ends]))
+                for h in suite.h_continuous_suite(seed, 2))
+        seq_f, seq_g = order.from_below_sequence(f), order.from_below_sequence(g)
+        # a pointwise result and its completion differ only at points
+        s = combine(f, g)
+        pairs = [(f, g), (g, f), (f, f), (s, baire.fis(s))]
+        pairs += [(seq.element(n), seq.element(2 * n)) for seq in (seq_f, seq_g)]
+        pairs += [
+            (combine(seq_f.element(k), seq_g.element(k)),
+             combine(seq_f.element(2 * k), seq_g.element(2 * k)))
+            for k in (n, 2 * n)
+        ]
+        for a, b in pairs:
+            assert order._stability_zones(a, b) == _flag_scan_zones(a, b)
