@@ -21,7 +21,7 @@ at every breakpoint; F(S(I(f))) is the same with the lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from . import piecewise as pw
 from .errors import DomainError, EngineError
@@ -182,39 +182,36 @@ def grid_sample(f: HFunction, x0, h, n: int) -> GridFunction:
     return GridFunction(x0, h, tuple(values))
 
 
-def _stencil(values: Sequence[Interval], i: int) -> Sequence[Interval]:
-    lo = max(0, i - 1)
-    hi = min(len(values), i + 2)
-    return values[lo:hi]
+def _stencil(values: List[Scalar], pick) -> List[Scalar]:
+    """``pick`` (min or max) over each node and its two neighbours, in
+    grid order (one-sided at the ends)."""
+    return [pick(values[max(0, i - 1):i + 2]) for i in range(len(values))]
+
+
+def _grid(g: GridFunction, lows: List[Scalar], highs: List[Scalar]) -> GridFunction:
+    return GridFunction(g.x0, g.h, tuple(Interval(a, b) for a, b in zip(lows, highs)))
 
 
 def grid_lower(g: GridFunction) -> GridFunction:
     """One-cell min stencil over lower endpoints (one-sided at the ends)."""
-    out = []
-    for i in range(len(g.values)):
-        v = min(w.lo for w in _stencil(g.values, i))
-        out.append(Interval(v, v))
-    return GridFunction(g.x0, g.h, tuple(out))
+    lows = _stencil([w.lo for w in g.values], min)
+    return _grid(g, lows, lows)
 
 
 def grid_upper(g: GridFunction) -> GridFunction:
     """One-cell max stencil over upper endpoints."""
-    out = []
-    for i in range(len(g.values)):
-        v = max(w.hi for w in _stencil(g.values, i))
-        out.append(Interval(v, v))
-    return GridFunction(g.x0, g.h, tuple(out))
+    highs = _stencil([w.hi for w in g.values], max)
+    return _grid(g, highs, highs)
 
 
 def grid_completion(g: GridFunction) -> GridFunction:
-    lows = grid_lower(g)
-    highs = grid_upper(g)
-    out = [Interval(a.lo, b.hi) for a, b in zip(lows.values, highs.values)]
-    return GridFunction(g.x0, g.h, tuple(out))
+    return _grid(g, _stencil([w.lo for w in g.values], min),
+                 _stencil([w.hi for w in g.values], max))
 
 
 def grid_fis(g: GridFunction) -> GridFunction:
     """Discrete counterpart of `fis`: completion of lower of upper."""
     if len(g.values) < 3:
         raise EngineError("grid_fis needs at least three nodes")
-    return grid_completion(grid_lower(grid_upper(g)))
+    lower_of_upper = _stencil(_stencil([w.hi for w in g.values], max), min)
+    return _grid(g, _stencil(lower_of_upper, min), _stencil(lower_of_upper, max))

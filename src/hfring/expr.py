@@ -15,6 +15,17 @@ have equal nodes, which is what makes piece equality decidable in rational
 mode.  A `Poly` prints as the sum of monomials ``c*(x*x)`` that reparses
 to it, is evaluated by Horner's rule, and is returned unchanged by
 `canonical`; `poly_expr` is its one constructor.
+
+Evaluation compiles before it computes.  `evaluator(e)` walks the tree once
+in the current mode and returns a function of x built from nested closures,
+with constants and `Poly` coefficients already converted to the mode's
+scalars, and raises on a non-finite float value as `eval_finite` does;
+`evaluate` and `eval_finite` compile and call once.  A loop
+that evaluates one expression at many points (sampled checks, approach
+sequences, grids) calls `evaluator` once before the loop: compiling costs
+about as much as one tree-walking evaluation, and each later call a
+fraction of one.  An evaluator keeps the mode it was compiled in, so it must
+not outlive a mode switch; `piecewise.Piece` keeps one per mode.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ExprEvalError, ExprSyntaxError
 from .scalars import RATIONAL, Scalar, format_scalar, get_mode
@@ -293,6 +304,27 @@ def _monomial_text(c: Fraction, k: int) -> str:
 # ---------------------------------------------------------------------------
 
 
+def evaluator(e: Expr) -> Callable[[Scalar], Scalar]:
+    """Compile ``e`` for the current mode into a function of x.
+
+    The tree is walked once: constants and `Poly` coefficients are converted
+    to the mode's scalars here, and each node becomes a closure over its
+    children's closures.  Calling the result computes what `eval_finite`
+    computes, in the same order, and raises the same errors at the same
+    points, ExprEvalError on a non-finite float value included.  The result
+    belongs to the mode it was compiled in.
+    """
+    run = _compile(e, get_mode() == RATIONAL)
+
+    def checked(x):
+        value = run(x)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ExprEvalError(f"non-finite value of {to_text(e)}")
+        return value
+
+    return checked
+
+
 def evaluate(e: Expr, x: Scalar) -> Scalar:
     """Evaluate at a point of the current mode.
 
@@ -300,48 +332,87 @@ def evaluate(e: Expr, x: Scalar) -> Scalar:
     need float mode).  Float mode may return non-finite values when probing
     limits; use `eval_finite` when a finite value is required.
     """
-    mode = get_mode()
-    if isinstance(e, Const):
-        return e.value if mode == RATIONAL else float(e.value)
-    if isinstance(e, Var):
-        return x
-    if isinstance(e, Poly):
-        return poly_eval(e.coeffs if mode == RATIONAL else [float(c) for c in e.coeffs], x)
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, x)
-    if isinstance(e, Add):
-        return evaluate(e.left, x) + evaluate(e.right, x)
-    if isinstance(e, Sub):
-        return evaluate(e.left, x) - evaluate(e.right, x)
-    if isinstance(e, Mul):
-        return evaluate(e.left, x) * evaluate(e.right, x)
-    if isinstance(e, Div):
-        denom = evaluate(e.right, x)
-        if denom == 0:
-            raise ExprEvalError(f"division by zero in {to_text(e)}")
-        return evaluate(e.left, x) / denom
-    if isinstance(e, Fun):
-        if mode == RATIONAL:
-            raise ExprEvalError(
-                f"{e.name} requires float mode (rational mode is for polynomial work)"
-            )
-        arg = evaluate(e.arg, x)
-        try:
-            if e.name == "sin":
-                return math.sin(arg)
-            if e.name == "cos":
-                return math.cos(arg)
-            return math.sqrt(arg)
-        except ValueError as exc:
-            raise ExprEvalError(f"{e.name} domain error at argument {arg!r}") from exc
-    raise TypeError(f"not an expression: {e!r}")
+    return _compile(e, get_mode() == RATIONAL)(x)
 
 
 def eval_finite(e: Expr, x: Scalar) -> Scalar:
-    value = evaluate(e, x)
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ExprEvalError(f"non-finite value of {to_text(e)}")
-    return value
+    """One finite value; to evaluate one expression at many points, call
+    `evaluator` once instead."""
+    return evaluator(e)(x)
+
+
+def _identity(x):
+    return x
+
+
+def _compile(e: Expr, exact: bool) -> Callable[[Scalar], Scalar]:
+    kind = type(e)
+    if kind is Var:
+        return _identity
+    # a constant beyond the float range raises its OverflowError when
+    # evaluated, not when compiled, so errors keep their evaluation order
+    if kind is Const:
+        try:
+            c = e.value if exact else float(e.value)
+        except OverflowError:
+            return lambda x: float(e.value)
+        return lambda x: c
+    if kind is Poly:
+        try:
+            coeffs = e.coeffs if exact else [float(c) for c in e.coeffs]
+        except OverflowError:
+            return lambda x: poly_eval([float(c) for c in e.coeffs], x)
+        return lambda x: poly_eval(coeffs, x)
+    if kind is Neg:
+        arg = _compile(e.arg, exact)
+        return lambda x: -arg(x)
+    if kind is Fun:
+        return _compile_fun(e, exact)
+    if kind in (Add, Sub, Mul, Div):
+        left, right = _compile(e.left, exact), _compile(e.right, exact)
+        if kind is Add:
+            return lambda x: left(x) + right(x)
+        if kind is Sub:
+            return lambda x: left(x) - right(x)
+        if kind is Mul:
+            return lambda x: left(x) * right(x)
+
+        def divide(x):
+            denom = right(x)
+            if denom == 0:
+                raise ExprEvalError(f"division by zero in {to_text(e)}")
+            return left(x) / denom
+
+        return divide
+
+    def not_an_expression(x):
+        raise TypeError(f"not an expression: {e!r}")
+
+    return not_an_expression
+
+
+_FUNCTION_IMPLS = {"sin": math.sin, "cos": math.cos}
+
+
+def _compile_fun(e: Fun, exact: bool) -> Callable[[Scalar], Scalar]:
+    if exact:
+        def refuse(x):
+            raise ExprEvalError(
+                f"{e.name} requires float mode (rational mode is for polynomial work)"
+            )
+
+        return refuse
+    arg = _compile(e.arg, exact)
+    impl = _FUNCTION_IMPLS.get(e.name, math.sqrt)
+
+    def apply(x):
+        value = arg(x)
+        try:
+            return impl(value)
+        except ValueError as exc:
+            raise ExprEvalError(f"{e.name} domain error at argument {value!r}") from exc
+
+    return apply
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,26 @@ Function definition format (also the CLI input):
           "domain": [lo, hi],              // "-inf"/"inf" allowed
           "pieces": [
             {"on": [a, b], "lower": "<expr>", "upper": "<expr>",   // upper optional
-             "envelopes": {"left": {"liminf": ..., "limsup": ...},
-                           "right": {...}}}                        // optional
+             "envelopes": {"left": {"liminf": ..., "limsup": ...,  // optional
+                                    "provenance": "declared"},
+                           "right": {...}},                        // optional
+             "upper_envelopes": {"left": {...}, "right": {...}}}   // optional
           ],
           "points": [{"x": ..., "value": [lo, hi]}]
         }
       }
     }
 
-The writer stores only envelopes that are declared or estimated.  Evaluated
+``envelopes`` hold the lower bound's one-sided envelopes and, unless the
+piece has ``upper_envelopes``, the upper bound's too.  With
+``upper_envelopes`` present the upper bound takes only the ends listed
+there, and computes the others; a piece whose bounds are equal shares
+one envelope, and ``upper_envelopes`` there is an error.  An envelope's
+``provenance`` is "declared" (the default) or "estimated".
+
+The writer stores only envelopes that are declared or estimated, with
+their provenance, and writes ``upper_envelopes`` only for a piece whose
+upper bound's stored envelopes differ from its lower bound's.  Evaluated
 envelopes are not stored: reading a piece back recomputes them exactly, so
 they keep their provenance.
 
@@ -113,14 +124,30 @@ def _span_from_json(data, what: str):
     return _end_from_json(data[0], "lo"), _end_from_json(data[1], "hi")
 
 
-def _envelope_pair_from_json(envelopes, side: str):
+# "evaluated" marks the engine's own exact limits, which the writer never
+# stores; read from a file, such data is a declaration like any other
+_READ_PROVENANCE = {
+    pw.DECLARED: pw.DECLARED, pw.ESTIMATED: pw.ESTIMATED, pw.EVALUATED: pw.DECLARED,
+}
+
+
+def _envelope_from_json(envelopes, side: str):
     data = _entry(envelopes, side, "envelopes", default=None)
     if data is None:
         return None
+    provenance = _entry(data, "provenance", "an envelope", str, pw.DECLARED)
+    if provenance not in _READ_PROVENANCE:
+        raise EngineError(f"unknown envelope provenance {provenance!r}")
     return (
         scalar_from_json(_entry(data, "liminf", "an envelope")),
         scalar_from_json(_entry(data, "limsup", "an envelope")),
+        _READ_PROVENANCE[provenance],
     )
+
+
+def _envelope_pair_from_json(envelopes):
+    """(left, right) envelope data of one entry; None where a side is absent."""
+    return _envelope_from_json(envelopes, "left"), _envelope_from_json(envelopes, "right")
 
 
 def hfunction_from_json(data: dict) -> HFunction:
@@ -135,34 +162,35 @@ def hfunction_from_json(data: dict) -> HFunction:
         lo, hi = _span_from_json(_entry(entry, "on", "a piece"), "a piece")
         lower = ex.parse(_entry(entry, "lower", "a piece", str))
         upper = _entry(entry, "upper", "a piece", str, None)
-        envelopes = _entry(entry, "envelopes", "a piece", default={})
-        piece_specs.append(
-            (
-                lo,
-                hi,
-                pw.make_piece(
-                    lo,
-                    hi,
-                    lower,
-                    None if upper is None else ex.parse(upper),
-                    declared_left=_envelope_pair_from_json(envelopes, "left"),
-                    declared_right=_envelope_pair_from_json(envelopes, "right"),
-                ),
-            )
+        left, right = _envelope_pair_from_json(_entry(entry, "envelopes", "a piece", default={}))
+        upper_envelopes = _entry(entry, "upper_envelopes", "a piece", default=None)
+        piece = pw.make_piece(
+            lo,
+            hi,
+            lower,
+            None if upper is None else ex.parse(upper),
+            declared_left=left,
+            declared_right=right,
+            declared_upper=(
+                None if upper_envelopes is None else _envelope_pair_from_json(upper_envelopes)
+            ),
         )
+        piece_specs.append((lo, hi, piece))
     piece_specs.sort(key=lambda t: (t[0] is not None, t[0]))
     return pw.hfunction(domain, points, [p for _, _, p in piece_specs])
 
 
-def _envelope_to_json(env: Optional[pw.EndEnvelope]):
+def _envelopes_to_json(left: Optional[pw.EndEnvelope], right: Optional[pw.EndEnvelope]):
     # evaluated envelopes are exact limits that make_piece recomputes on load;
     # written out, they would come back as declared data
-    if env is None or env.provenance == pw.EVALUATED:
-        return None
     return {
-        "liminf": scalar_to_json(env.liminf),
-        "limsup": scalar_to_json(env.limsup),
-        "provenance": env.provenance,
+        side: {
+            "liminf": scalar_to_json(env.liminf),
+            "limsup": scalar_to_json(env.limsup),
+            "provenance": env.provenance,
+        }
+        for side, env in (("left", left), ("right", right))
+        if env is not None and env.provenance != pw.EVALUATED
     }
 
 
@@ -175,15 +203,12 @@ def hfunction_to_json(f: HFunction) -> dict:
         }
         if not piece.is_real:
             entry["upper"] = ex.to_text(piece.upper)
-        envelopes = {}
-        left = _envelope_to_json(piece.lower_left)
-        right = _envelope_to_json(piece.lower_right)
-        if left is not None:
-            envelopes["left"] = left
-        if right is not None:
-            envelopes["right"] = right
+        envelopes = _envelopes_to_json(piece.lower_left, piece.lower_right)
         if envelopes:
             entry["envelopes"] = envelopes
+        upper_envelopes = _envelopes_to_json(piece.upper_left, piece.upper_right)
+        if upper_envelopes != envelopes:
+            entry["upper_envelopes"] = upper_envelopes
         pieces.append(entry)
     return {
         "domain": [_end_to_json(f.domain.lo, "lo"), _end_to_json(f.domain.hi, "hi")],

@@ -106,8 +106,9 @@ def _linear_leq(ea, eb, lo, hi) -> bool:
 
 def _sampled_leq(ea, eb, lo, hi) -> bool:
     tol = get_tolerance() if get_mode() == FLOAT else 0
+    value_a, value_b = ex.evaluator(ea), ex.evaluator(eb)
     for x in pw._span_samples(lo, hi, 64, tag=("leq", str(lo), str(hi))):
-        if ex.eval_finite(ea, x) > ex.eval_finite(eb, x) + tol:
+        if value_a(x) > value_b(x) + tol:
             return False
     return True
 
@@ -646,7 +647,5 @@ def _bound_deviation(ea, eb, lo, hi, samples: int, tag) -> Scalar:
                 if lo < vertex < hi:
                     xs.append(vertex)
             return to_scalar(max(abs(ex.poly_eval(d, x)) for x in xs))
-    return max(
-        abs(ex.eval_finite(ea, x) - ex.eval_finite(eb, x))
-        for x in pw._span_samples(lo, hi, samples, tag)
-    )
+    value_a, value_b = ex.evaluator(ea), ex.evaluator(eb)
+    return max(abs(value_a(x) - value_b(x)) for x in pw._span_samples(lo, hi, samples, tag))

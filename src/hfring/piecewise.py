@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import expr as ex
 from . import interval as iv
@@ -155,11 +155,30 @@ class Piece:
         hi = lo if self.is_real else ex.classify(self.upper)
         return max(lo, hi, key=order.index)
 
+    @cached_property
+    def _evaluators(self) -> dict:
+        """mode -> (lower, upper) evaluators, upper None on a real piece;
+        filled by `bound_values` for each mode it runs in."""
+        return {}
+
+    def bound_values(self, x: Scalar) -> Tuple[Scalar, Scalar]:
+        """(lower(x), upper(x)) as computed, through evaluators compiled once
+        per piece and mode."""
+        mode = get_mode()
+        bounds = self._evaluators.get(mode)
+        if bounds is None:
+            bounds = self._evaluators[mode] = (
+                ex.evaluator(self.lower),
+                None if self.is_real else ex.evaluator(self.upper),
+            )
+        lower, upper = bounds
+        lo = lower(x)
+        return lo, (lo if upper is None else upper(x))
+
     def eval(self, x: Scalar) -> Interval:
-        lo = ex.eval_finite(self.lower, x)
-        if self.lower == self.upper:
+        lo, hi = self.bound_values(x)
+        if hi is lo:
             return Interval(lo, lo)
-        hi = ex.eval_finite(self.upper, x)
         # proper pieces may suffer tiny float inversions; order defensively
         return Interval(min(lo, hi), max(lo, hi))
 
@@ -333,18 +352,21 @@ def one_sided_envelope(
         return EndEnvelope(limit, limit, EVALUATED)
     if ex.rational_coeffs(e) is not None:
         return None  # genuine pole at the end
+    value_at = ex.evaluator(e)
     try:
-        value = ex.eval_finite(e, at)
+        value = value_at(at)
         return EndEnvelope(value, value, EVALUATED)
     except ExprEvalError:
         pass
-    samples = _approach_samples(e, at, side, reach)
+    samples = _approach_samples(value_at, at, side, reach)
     if not samples:
         return None
     return EndEnvelope(min(samples), max(samples), ESTIMATED)
 
 
-def _approach_samples(e: ex.Expr, at: Scalar, side: str, reach: Scalar, steps: int = 48):
+def _approach_samples(
+    value_at: Callable[[Scalar], Scalar], at: Scalar, side: str, reach: Scalar, steps: int = 48
+):
     sign = -1 if side == "-" else 1
     base = min(to_scalar(1), reach / 2) if reach is not None else to_scalar(1)
     out = []
@@ -352,7 +374,7 @@ def _approach_samples(e: ex.Expr, at: Scalar, side: str, reach: Scalar, steps: i
     for _ in range(steps):
         step = step / 2
         try:
-            out.append(ex.eval_finite(e, at + sign * step))
+            out.append(value_at(at + sign * step))
         except ExprEvalError:
             continue
     return out[steps // 3 :] if len(out) > steps // 3 else out
@@ -368,15 +390,16 @@ def _envelope_at_infinity(e: ex.Expr, side: str) -> Optional[EndEnvelope]:
     if get_mode() == RATIONAL:
         return None
     sign = -1 if side == "-" else 1
+    value_at = ex.evaluator(e)
     try:
-        value = ex.eval_finite(e, sign * float("inf"))
+        value = value_at(sign * float("inf"))
         return EndEnvelope(value, value, EVALUATED)
     except (ExprEvalError, OverflowError):
         pass
     samples = []
     for k in range(4, 44):
         try:
-            samples.append(ex.eval_finite(e, sign * float(2**k)))
+            samples.append(value_at(sign * float(2**k)))
         except ExprEvalError:
             continue
     if not samples:
@@ -388,8 +411,8 @@ def _envelope_at_infinity(e: ex.Expr, side: str) -> Optional[EndEnvelope]:
 def _declared_env(data) -> Optional[EndEnvelope]:
     if data is None:
         return None
-    liminf, limsup = data
-    return EndEnvelope(to_scalar(liminf), to_scalar(limsup), DECLARED)
+    liminf, limsup, *provenance = data
+    return EndEnvelope(to_scalar(liminf), to_scalar(limsup), *provenance or [DECLARED])
 
 
 def make_piece(
@@ -399,12 +422,19 @@ def make_piece(
     upper: Optional[ex.Expr] = None,
     declared_left=None,
     declared_right=None,
+    declared_upper=None,
 ) -> Piece:
     """Build a piece, canonicalizing expressions and filling envelopes.
 
     ``declared_left``/``declared_right`` are optional (liminf, limsup)
-    pairs; they override the computed envelopes of both bounds, which is
-    exact for real-valued pieces and a sound enclosure otherwise.
+    pairs, or (liminf, limsup, provenance) triples for data that keeps
+    another provenance (estimated envelopes read back from a file).  They
+    override the computed envelopes of both bounds, which is exact for
+    real-valued pieces and a sound enclosure otherwise, unless
+    ``declared_upper`` gives the upper bound's own (left, right) data; a
+    None there leaves that end of the upper bound computed.  A piece whose
+    bounds are equal shares one envelope, so ``declared_upper`` raises
+    EnvelopeError there.
     """
     lower_c = ex.canonical(lower)
     upper_c = lower_c if upper is None else ex.canonical(upper)
@@ -412,15 +442,16 @@ def make_piece(
     left_declared = _declared_env(declared_left)
     right_declared = _declared_env(declared_right)
     lower_left = left_declared or one_sided_envelope(lower_c, lo, "+", reach)
-    upper_left = (
-        left_declared
-        or (lower_left if upper_c == lower_c else one_sided_envelope(upper_c, lo, "+", reach))
-    )
     lower_right = right_declared or one_sided_envelope(lower_c, hi, "-", reach)
-    upper_right = (
-        right_declared
-        or (lower_right if upper_c == lower_c else one_sided_envelope(upper_c, hi, "-", reach))
-    )
+    if upper_c == lower_c:
+        if declared_upper is not None:
+            raise EnvelopeError("upper envelopes declared for a piece whose bounds are equal")
+        upper_left, upper_right = lower_left, lower_right
+    else:
+        if declared_upper is not None:
+            left_declared, right_declared = map(_declared_env, declared_upper)
+        upper_left = left_declared or one_sided_envelope(upper_c, lo, "+", reach)
+        upper_right = right_declared or one_sided_envelope(upper_c, hi, "-", reach)
     return Piece(
         lo, hi, lower_c, upper_c, lower_left, lower_right, upper_left, upper_right
     )
@@ -479,8 +510,7 @@ def validate_function(f: HFunction) -> None:
             samples = _span_samples(piece.lo, piece.hi, _VALIDATE_SAMPLES, tag=("validate", i))
         for x in samples:
             try:
-                lo_raw = ex.eval_finite(piece.lower, x)
-                hi_raw = lo_raw if piece.is_real else ex.eval_finite(piece.upper, x)
+                lo_raw, hi_raw = piece.bound_values(x)
             except ExprEvalError as exc:
                 raise PieceError(
                     f"piece on ({piece.lo!r}, {piece.hi!r}) not evaluable at {x!r}: {exc}"
@@ -504,14 +534,12 @@ def _span_samples(
     """Deterministic pseudo-random points strictly inside (lo, hi)."""
     a, b = _finite_window(lo, hi)
     rng = random.Random(f"{get_seed()}|{tag!r}")
-    out = []
-    for _ in range(count):
-        u = Fraction(rng.getrandbits(30) + 1, 2**30 + 2)
-        if get_mode() == RATIONAL:
-            out.append(a + (b - a) * u)
-        else:
-            out.append(float(a) + float(b - a) * float(u))
-    return out
+    if get_mode() == RATIONAL:
+        return [a + (b - a) * Fraction(rng.getrandbits(30) + 1, 2**30 + 2) for _ in range(count)]
+    # int / int is the correctly rounded quotient, the same float that
+    # float(Fraction(r + 1, 2**30 + 2)) gives, without a Fraction per sample
+    start, width = float(a), float(b - a)
+    return [start + width * ((rng.getrandbits(30) + 1) / (2**30 + 2)) for _ in range(count)]
 
 
 def _finite_window(lo: Optional[Scalar], hi: Optional[Scalar]) -> Tuple[Scalar, Scalar]:
@@ -555,12 +583,12 @@ def refine(f: HFunction, xs: Iterable[Scalar]) -> HFunction:
     points: List[SpecialPoint] = []
     pieces: List[Piece] = []
     j = 0
-    for i, piece in enumerate(f.pieces):
+    for i, original in enumerate(f.pieces):
+        piece = original
         while j < len(new) and (piece.hi is None or new[j] < piece.hi):
             x = new[j]
             j += 1
-            v_lo = ex.eval_finite(piece.lower, x)
-            v_hi = v_lo if piece.is_real else ex.eval_finite(piece.upper, x)
+            v_lo, v_hi = original.bound_values(x)
             env_lo = EndEnvelope(v_lo, v_lo, EVALUATED)
             env_hi = env_lo if piece.is_real else EndEnvelope(v_hi, v_hi, EVALUATED)
             pieces.append(Piece(
@@ -717,9 +745,8 @@ def _mul_proper_pieces(a: Piece, b: Piece) -> Piece:
         (ex.mul(a.upper, b.upper), ("upper", "upper")),
     ]
     xs = _span_samples(a.lo, a.hi, 65, tag=("mulpick", str(a.lo), str(a.hi)))
-    rows = []
-    for x in xs:
-        rows.append([ex.eval_finite(c, x) for c, _ in candidates])
+    values_at = [ex.evaluator(c) for c, _ in candidates]
+    rows = [[value_at(x) for value_at in values_at] for x in xs]
     low_idx = _consistent_winner(rows, min)
     high_idx = _consistent_winner(rows, max)
     if low_idx is None or high_idx is None:
@@ -932,6 +959,7 @@ def _check_envelope(bound, at, side, env, piece, eps) -> EnvelopeCheck:
     base = min(to_scalar(1), reach / 2)
     sign = to_scalar(1) if side == "+" else to_scalar(-1)
     ratio = 10 ** (-1.0 / _ENVELOPE_SAMPLES_PER_DECADE)
+    value_at = ex.evaluator(bound)
     observed: List[Scalar] = []
     offset = float(base)
     total = _ENVELOPE_SAMPLES_PER_DECADE * _ENVELOPE_DECADES
@@ -939,7 +967,7 @@ def _check_envelope(bound, at, side, env, piece, eps) -> EnvelopeCheck:
         offset *= ratio
         x = at + sign * to_scalar(offset)
         try:
-            observed.append(ex.eval_finite(bound, x))
+            observed.append(value_at(x))
         except ExprEvalError:
             continue
     if not observed:
@@ -1013,10 +1041,11 @@ def piece_expr_equal(a: ex.Expr, b: ex.Expr, lo, hi, tag="eq") -> bool:
     if get_mode() == RATIONAL:
         return False
     tol = get_tolerance()
+    value_a, value_b = ex.evaluator(a), ex.evaluator(b)
     for x in _span_samples(lo, hi, 128, tag=(tag, str(lo), str(hi))):
         try:
-            va = ex.eval_finite(a, x)
-            vb = ex.eval_finite(b, x)
+            va = value_a(x)
+            vb = value_b(x)
         except ExprEvalError:
             return False
         if abs(va - vb) > tol:

@@ -54,10 +54,11 @@ def random_h_continuous(
     pieces = [
         pw.make_piece(u, w, e) for u, w, e in zip(bounds, bounds[1:], exprs)
     ]
+    values_at = [ex.evaluator(e) for e in exprs]
     points = []
     for i, x in enumerate(xs):
-        left = ex.eval_finite(exprs[i], x)
-        right = ex.eval_finite(exprs[i + 1], x)
+        left = values_at[i](x)
+        right = values_at[i + 1](x)
         points.append((x, Interval(min(left, right), max(left, right))))
     return pw.normalize(pw.hfunction(domain, points, pieces, validate=False))
 

@@ -216,6 +216,56 @@ class TestIsotonicity:
             assert pw.is_S_continuous(once)
 
 
+def _brute_stencil(vs, i, pick, key):
+    """Oracle: a literal one-cell stencil over a list of intervals."""
+    lo, hi = max(0, i - 1), min(len(vs), i + 2)
+    return pick(key(v) for v in vs[lo:hi])
+
+
+def _point(v):
+    return Interval(v, v)  # not Interval.point, which coerces to the mode
+
+
+def _brute_lower(vs):
+    return [_point(_brute_stencil(vs, i, min, lambda v: v.lo)) for i in range(len(vs))]
+
+
+def _brute_upper(vs):
+    return [_point(_brute_stencil(vs, i, max, lambda v: v.hi)) for i in range(len(vs))]
+
+
+def _brute_completion(vs):
+    return [
+        Interval(_brute_stencil(vs, i, min, lambda v: v.lo),
+                 _brute_stencil(vs, i, max, lambda v: v.hi))
+        for i in range(len(vs))
+    ]
+
+
+def _brute_fis(vs):
+    return _brute_completion(_brute_lower(_brute_upper(vs)))
+
+
+# zeros of both signs and of both types, so a stencil that picked another
+# of several equal elements would show in the repr
+_grid_scalars = st.one_of(
+    st.sampled_from([0.0, -0.0, Fraction(0), Fraction(1, 2), 0.5]),
+    st.integers(-3, 3).map(Fraction),
+    st.floats(-3, 3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_grid_scalars, _grid_scalars), min_size=3, max_size=12))
+def test_grid_stencils_are_the_interval_stencils(pairs):
+    vs = [Interval(min(a, b), max(a, b)) for a, b in pairs]
+    g = GridFunction(F(0), F(1), tuple(vs))
+    for operator, oracle in ((baire.grid_lower, _brute_lower), (baire.grid_upper, _brute_upper),
+                             (baire.grid_completion, _brute_completion),
+                             (baire.grid_fis, _brute_fis)):
+        assert repr(operator(g).values) == repr(tuple(oracle(vs)))
+
+
 class TestGrid:
     def test_sample_step(self, step_pair):
         f, _ = step_pair
@@ -252,24 +302,10 @@ class TestGrid:
         assert baire.grid_fis(g).values == g.values
 
     def test_fis_spike_against_brute_force(self):
-        # oracle: literal one-cell stencils composed by hand
-        def stencil(vs, i, pick, key):
-            lo, hi = max(0, i - 1), min(len(vs), i + 2)
-            return pick(key(v) for v in vs[lo:hi])
-
-        def brute(vs):
-            up = [Interval.point(stencil(vs, i, max, lambda v: v.hi)) for i in range(len(vs))]
-            low = [Interval.point(stencil(up, i, min, lambda v: v.lo)) for i in range(len(up))]
-            return [
-                Interval(stencil(low, i, min, lambda v: v.lo),
-                         stencil(low, i, max, lambda v: v.hi))
-                for i in range(len(low))
-            ]
-
         spike = [Interval.of(0, 0), Interval.of(0, 0), Interval.of(-1, 1),
                  Interval.of(0, 0), Interval.of(0, 0)]
         g = GridFunction(F(0), F(1), tuple(spike))
-        assert list(baire.grid_fis(g).values) == brute(spike)
+        assert list(baire.grid_fis(g).values) == _brute_fis(spike)
         # the upward spike smears by one cell through the completion
         assert baire.grid_fis(g).values[2] == Interval.of(0, 1)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -342,3 +343,16 @@ def test_parser_is_built_once_and_keeps_no_declarations(monkeypatch):
         assert cli.main(argv) == 0
     assert seen == [[["0", "-1", "1"]], [["1/2", "0", "0"]], []]
     assert cli.build_parser.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("argv, digest", [
+    # every sampled value of the envelope checks, so any change to the order
+    # of evaluation shows
+    (["--mode", "float", "validate", OSC],
+     "a364206f4af87d62cdcbd7ce8e1212501b5c8625cb87a8605b9513c60423fbdb"),
+    (["verify-ring", "--count", "40"],
+     "464d13747ed47783639c25edfc12221f3ae7cc79b497e9f5836c95b1d6608876"),
+], ids=["float-validate", "verify-ring"])
+def test_reference_outputs(argv, digest):
+    out = run_cli(*argv).stdout
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -1,10 +1,14 @@
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hfring import expr as ex
-from hfring import scalars
+from hfring import piecewise as pw
+from hfring import baire, scalars
 from hfring.errors import ExprEvalError, ExprSyntaxError
 
 
@@ -216,3 +220,159 @@ class TestAnalysis:
         for text in ("1/0", "x/(x - x)", "0/0"):
             with pytest.raises(ExprEvalError, match="division by zero"):
                 ex.limit_at_infinity(ex.parse(text), 1)
+
+
+def _reference_evaluate(e, x):
+    """The tree-walking interpreter `evaluator` replaced: one recursive call
+    per node and per point, reading the mode at every node."""
+    mode = scalars.get_mode()
+    if isinstance(e, ex.Const):
+        return e.value if mode == scalars.RATIONAL else float(e.value)
+    if isinstance(e, ex.Var):
+        return x
+    if isinstance(e, ex.Poly):
+        coeffs = e.coeffs if mode == scalars.RATIONAL else [float(c) for c in e.coeffs]
+        return ex.poly_eval(coeffs, x)
+    if isinstance(e, ex.Neg):
+        return -_reference_evaluate(e.arg, x)
+    if isinstance(e, ex.Add):
+        return _reference_evaluate(e.left, x) + _reference_evaluate(e.right, x)
+    if isinstance(e, ex.Sub):
+        return _reference_evaluate(e.left, x) - _reference_evaluate(e.right, x)
+    if isinstance(e, ex.Mul):
+        return _reference_evaluate(e.left, x) * _reference_evaluate(e.right, x)
+    if isinstance(e, ex.Div):
+        denom = _reference_evaluate(e.right, x)
+        if denom == 0:
+            raise ExprEvalError(f"division by zero in {ex.to_text(e)}")
+        return _reference_evaluate(e.left, x) / denom
+    if isinstance(e, ex.Fun):
+        if mode == scalars.RATIONAL:
+            raise ExprEvalError(
+                f"{e.name} requires float mode (rational mode is for polynomial work)"
+            )
+        arg = _reference_evaluate(e.arg, x)
+        try:
+            if e.name == "sin":
+                return math.sin(arg)
+            if e.name == "cos":
+                return math.cos(arg)
+            return math.sqrt(arg)
+        except ValueError as exc:
+            raise ExprEvalError(f"{e.name} domain error at argument {arg!r}") from exc
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _reference_eval_finite(e, x):
+    value = _reference_evaluate(e, x)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ExprEvalError(f"non-finite value of {ex.to_text(e)}")
+    return value
+
+
+def _outcome(fn, *args):
+    """The value with its type (repr tells -0.0 from 0.0 and shows nan), or
+    the exception type and message."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # compared, not swallowed
+        return ("raised", type(exc), str(exc))
+    return ("value", type(value), repr(value))
+
+
+_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+_leaves = st.one_of(
+    _fractions.map(ex.Const),
+    st.just(ex.X),
+    st.lists(_fractions, min_size=2, max_size=4)
+    .filter(lambda cs: cs[-1] != 0)
+    .map(lambda cs: ex.Poly(tuple(cs))),
+    # beyond the float range: the conversion raises when evaluated in float mode
+    st.sampled_from([ex.Const(Fraction(10**400)), ex.Poly((Fraction(1), Fraction(10**400)))]),
+    # not an expression: TypeError when reached
+    st.just("junk"),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from([ex.Add, ex.Sub, ex.Mul, ex.Div]), inner, inner)
+        .map(lambda t: t[0](t[1], t[2])),
+        inner.map(ex.Neg),
+        st.tuples(st.sampled_from(ex.FUNCTIONS), inner).map(lambda t: ex.Fun(*t)),
+    ),
+    max_leaves=12,
+)
+_float_points = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, math.inf, -math.inf, math.nan]),
+    st.floats(min_value=-20, max_value=20),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree=_trees, mode=st.sampled_from([scalars.RATIONAL, scalars.FLOAT]),
+       data=st.data())
+def test_evaluator_is_the_interpreter(tree, mode, data):
+    points = _fractions if mode == scalars.RATIONAL else _float_points
+    xs = data.draw(st.lists(points, min_size=1, max_size=4))
+    with scalars.engine_mode(mode):
+        compiled = ex.evaluator(tree)
+        for x in xs:
+            assert _outcome(compiled, x) == _outcome(_reference_eval_finite, tree, x)
+            assert _outcome(ex.evaluate, tree, x) == _outcome(_reference_evaluate, tree, x)
+            assert _outcome(ex.eval_finite, tree, x) == _outcome(_reference_eval_finite, tree, x)
+
+
+def _count_compiles(monkeypatch):
+    compiled = []
+    evaluator = ex.evaluator
+
+    def counted(e):
+        compiled.append(e)
+        return evaluator(e)
+
+    monkeypatch.setattr(ex, "evaluator", counted)
+    return compiled
+
+
+class TestCompileOnce:
+    def test_envelope_checks_compile_each_bound_once(self, oscillation_pair, monkeypatch):
+        compiled = _count_compiles(monkeypatch)
+        for f in oscillation_pair:
+            compiled.clear()
+            checks = pw.validate_envelopes(f)
+            sampled = [c for c in checks if c.x is not None]
+            # the declared envelopes at 0, one per side, 576 samples each
+            assert len(sampled) == 2 and all(c.passed for c in sampled)
+            assert len(compiled) == len(sampled)
+
+    def test_piece_evaluators_are_compiled_once(self, oscillation_pair, monkeypatch):
+        f, _ = oscillation_pair
+        # loading validated f through its pieces' evaluators: start from
+        # copies that have compiled nothing yet
+        f = replace(f, pieces=tuple(replace(p) for p in f.pieces))
+        compiled = _count_compiles(monkeypatch)
+        first = baire.grid_sample(f, -0.5, 1 / 64, 64)
+        assert len(compiled) == 2  # one per piece; the value at 0 is stored
+        assert baire.grid_sample(f, -0.5, 1 / 64, 64) == first
+        assert len(compiled) == 2
+
+    def test_piece_evaluators_follow_the_mode(self, monkeypatch):
+        piece = pw.make_piece(Fraction(-1), Fraction(1), ex.parse("x*x"))
+        compiled = _count_compiles(monkeypatch)
+        assert piece.eval(Fraction(1, 3)).lo == Fraction(1, 9)
+        with scalars.engine_mode(scalars.FLOAT):
+            value = piece.eval(1 / 3).lo
+            assert isinstance(value, float) and value == pytest.approx(1 / 9)
+        assert piece.eval(Fraction(1, 2)).lo == Fraction(1, 4)
+        assert len(compiled) == 2
+
+    def test_refine_compiles_each_bound_once(self, monkeypatch):
+        f = pw.hfunction(
+            pw.Domain.of(0, 2), [],
+            [pw.make_piece(Fraction(0), Fraction(2), ex.parse("x*x"), ex.parse("x*x + 1"))],
+            validate=False,
+        )
+        compiled = _count_compiles(monkeypatch)
+        refined = pw.refine(f, [Fraction(k, 8) for k in range(1, 16)])
+        assert len(refined.points) == 15
+        assert len(compiled) == 2

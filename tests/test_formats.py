@@ -1,19 +1,21 @@
 import io
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hfring import baire, formats
 from hfring import expr as ex
 from hfring import piecewise as pw
 from hfring import scalars, suite
 from hfring.baire import GridFunction, grid_sample
-from hfring.errors import EngineError
+from hfring.errors import EngineError, RepresentationError
 from hfring.interval import Interval
 from hfring.piecewise import Domain
 
-from conftest import DATA_DIR, make_step_pair
+from conftest import DATA_DIR, make_oscillation_pair, make_step_pair
 
 
 class TestScalars:
@@ -64,6 +66,65 @@ class TestFunctionJson:
             assert env.provenance == "declared"
             assert env.liminf == -1 and env.limsup == 1
 
+    def test_estimated_envelopes_stay_estimated(self, float_mode):
+        loaded = formats.load_defs(f"{DATA_DIR}/oscillation_pair.json")
+        s = pw.pointwise_add(loaded["f"], loaded["g"])
+        assert s.pieces[1].lower_left.provenance == pw.ESTIMATED
+        back = formats.hfunction_from_json(formats.hfunction_to_json(s))
+        assert back.pieces[1].lower_left == s.pieces[1].lower_left
+        assert back.pieces[1].upper_left == s.pieces[1].upper_left
+
+    def test_upper_envelopes_written_where_they_differ(self, float_mode):
+        # a proper piece whose bounds oscillate differently at 0
+        f = pw.hfunction(
+            Domain.of(0, 1), [],
+            [pw.make_piece(0.0, 1.0, ex.parse("sin(1/x) - 2"), ex.parse("cos(1/x) + 2"),
+                           declared_left=(-3, -1))],
+        )
+        f = pw.HFunction(f.domain, f.points, (replace(
+            f.pieces[0], upper_left=pw.EndEnvelope(1.0, 3.0, pw.ESTIMATED)),))
+        data = formats.hfunction_to_json(f)
+        piece = data["pieces"][0]
+        assert piece["envelopes"]["left"]["provenance"] == "declared"
+        assert piece["upper_envelopes"] == {
+            "left": {"liminf": 1.0, "limsup": 3.0, "provenance": "estimated"}
+        }
+        back = formats.hfunction_from_json(json.loads(json.dumps(data)))
+        assert back.pieces == f.pieces
+
+    def test_evaluated_upper_end_is_recomputed(self, float_mode):
+        # the lower bound's envelope is declared, the upper bound's is an
+        # exact limit: upper_envelopes lists no left end, which is computed
+        f = pw.hfunction(
+            Domain.of(0, 1), [],
+            [pw.make_piece(0.0, 1.0, ex.parse("sin(1/x) - 2"), ex.parse("x + 2"),
+                           declared_left=(-3, -1), declared_upper=(None, None))],
+        )
+        assert f.pieces[0].upper_left.provenance == pw.EVALUATED
+        data = formats.hfunction_to_json(f)
+        assert data["pieces"][0]["upper_envelopes"] == {}
+        assert formats.hfunction_from_json(data).pieces == f.pieces
+
+    def test_unknown_provenance_rejected(self):
+        data = {
+            "domain": [-1, 1],
+            "pieces": [{"on": [-1, 1], "lower": "x",
+                        "envelopes": {"left": {"liminf": -1, "limsup": -1,
+                                               "provenance": "guessed"}}}],
+        }
+        with pytest.raises(EngineError, match="provenance"):
+            formats.hfunction_from_json(data)
+
+    @pytest.mark.parametrize("upper", [None, "x"])
+    def test_upper_envelopes_of_a_real_piece_rejected(self, upper):
+        # a piece whose bounds are equal shares one envelope for both
+        piece = {"on": [-1, 1], "lower": "x",
+                 "upper_envelopes": {"left": {"liminf": -2, "limsup": 0}}}
+        if upper is not None:
+            piece["upper"] = upper
+        with pytest.raises(EngineError, match="upper envelopes"):
+            formats.hfunction_from_json({"domain": [-1, 1], "pieces": [piece]})
+
     def test_proper_piece_completion_survives_round_trip(self):
         # a proper piece [0, 1] on both sides of x = 1, with point value 0
         f = pw.hfunction(
@@ -91,6 +152,51 @@ class TestFunctionJson:
         path.write_text("{}")
         with pytest.raises(EngineError):
             formats.load_defs(str(path))
+
+
+def _same_envelope(a, b):
+    if a is None or b is None:
+        return a is b
+    return (a.provenance == b.provenance and scalars.scalar_eq(a.liminf, b.liminf)
+            and scalars.scalar_eq(a.limsup, b.limsup))
+
+
+def _envelopes(f):
+    return [(p.lower_left, p.lower_right, p.upper_left, p.upper_right) for p in f.pieces]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    mode=st.sampled_from([(scalars.RATIONAL, None), (scalars.FLOAT, 1e-9)]),
+    kind=st.sampled_from(["h", "s", "oscillation"]),
+    combine=st.sampled_from(["none", "add", "mul"]),
+)
+def test_json_round_trip_is_lossless(seed, mode, kind, combine):
+    # the oscillating pair has declared envelopes and exists in float mode only
+    assume(kind != "oscillation" or mode[0] == scalars.FLOAT)
+    with scalars.engine_mode(*mode):
+        if kind == "oscillation":
+            f, g = make_oscillation_pair()
+        else:
+            make = suite.h_continuous_suite if kind == "h" else suite.s_continuous_suite
+            f, g = make(seed, 2)
+        try:
+            if combine == "add":
+                f = pw.pointwise_add(f, g)
+            elif combine == "mul":
+                f = pw.pointwise_mul(f, g)
+        except RepresentationError:
+            # a product of proper interval pieces whose winning bound
+            # product changes inside a piece
+            assume(False)
+        back = formats.hfunction_from_json(
+            json.loads(formats.dumps_json(formats.hfunction_to_json(f)))
+        )
+        assert pw.func_equal(back, f)
+        assert len(back.pieces) == len(f.pieces)
+        for ours, theirs in zip(_envelopes(back), _envelopes(f)):
+            assert all(map(_same_envelope, ours, theirs))
 
 
 class TestGridCsv:

@@ -236,6 +236,32 @@ def test_refine_rejects_points_outside_the_domain():
             operator(f, outside)
 
 
+def _float_span_samples_reference(lo, hi, count, tag):
+    """Float samples drawn through the exact rational, as before the float
+    branch divided the integers directly."""
+    a, b = pw._finite_window(lo, hi)
+    rng = random.Random(f"{scalars.get_seed()}|{tag!r}")
+    return [
+        float(a) + float(b - a) * float(Fraction(rng.getrandbits(30) + 1, 2**30 + 2))
+        for _ in range(count)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ends=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)).filter(lambda t: t[0] != t[1]),
+    unbounded=st.sampled_from(["none", "lo", "hi", "both"]),
+    tag=st.text(max_size=5),
+)
+def test_float_span_samples_are_bit_identical(ends, unbounded, tag):
+    lo, hi = sorted(ends)
+    lo = None if unbounded in ("lo", "both") else lo
+    hi = None if unbounded in ("hi", "both") else hi
+    with scalars.engine_mode(scalars.FLOAT):
+        got = pw._span_samples(lo, hi, 40, tag)
+        assert repr(got) == repr(_float_span_samples_reference(lo, hi, 40, tag))
+
+
 class TestRationalLimit:
     def test_removable_singularities_cancel(self):
         assert pw.rational_limit_at(ex.parse("(x*x-1)/(x-1)"), F(1)) == 2
