@@ -65,12 +65,9 @@ def _envelope_function(
 
 
 def _bound_piece(p: Piece, lower: bool) -> Piece:
-    """The real-valued piece that keeps one bound of p with its envelopes."""
-    if lower:
-        return Piece(p.lo, p.hi, p.lower, p.lower,
-                     p.lower_left, p.lower_right, p.lower_left, p.lower_right)
-    return Piece(p.lo, p.hi, p.upper, p.upper,
-                 p.upper_left, p.upper_right, p.upper_left, p.upper_right)
+    """The real-valued piece that keeps one bound record of p."""
+    bound = p.lower if lower else p.upper
+    return Piece(p.lo, p.hi, bound, bound)
 
 
 def lower_baire(f: HFunction, spec: Optional[DenseSubsetSpec] = None) -> HFunction:

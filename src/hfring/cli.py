@@ -33,7 +33,7 @@ from .errors import (
 )
 from .interval import distance as iv_distance
 from .piecewise import Domain, HFunction
-from .scalars import Scalar, format_scalar, parse_scalar, set_mode, set_seed
+from .scalars import Scalar, format_scalar, set_mode, set_seed, to_scalar
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -165,10 +165,10 @@ class _CliError(Exception):
 
 
 def _number(text: str, what: str) -> Scalar:
-    """Read a numeric argument in the current mode; a malformed number is a
-    parse error (exit 2)."""
+    """Read a numeric argument (integer, decimal, or ``p/q``) in the current
+    mode; a malformed number is a parse error (exit 2)."""
     try:
-        return parse_scalar(text)
+        return to_scalar(text)
     except EngineError as exc:
         raise _CliError(EXIT_PARSE, f"bad {what} {text!r}: {exc}") from exc
 

@@ -16,16 +16,17 @@ mode.  A `Poly` prints as the sum of monomials ``c*(x*x)`` that reparses
 to it, is evaluated by Horner's rule, and is returned unchanged by
 `canonical`; `poly_expr` is its one constructor.
 
-Evaluation compiles before it computes.  `evaluator(e)` walks the tree once
-in the current mode and returns a function of x built from nested closures,
-with constants and `Poly` coefficients already converted to the mode's
-scalars, and raises on a non-finite float value as `eval_finite` does;
-`evaluate` and `eval_finite` compile and call once.  A loop
-that evaluates one expression at many points (sampled checks, approach
-sequences, grids) calls `evaluator` once before the loop: compiling costs
-about as much as one tree-walking evaluation, and each later call a
-fraction of one.  An evaluator keeps the mode it was compiled in, so it must
-not outlive a mode switch; `piecewise.Piece` keeps one per mode.
+Evaluation compiles before it computes, and `evaluator` is its one entry
+point.  `evaluator(e)` walks the tree once in the current mode and returns
+a function of x built from nested closures, with constants and `Poly`
+coefficients already converted to the mode's scalars; calling it raises
+ExprEvalError where the expression is undefined or, in float mode, not
+finite.  A loop that evaluates one expression at many points (sampled
+checks, approach sequences, grids) calls `evaluator` once before the
+loop: compiling costs about as much as one tree-walking evaluation, and
+each later call a fraction of one.  An evaluator keeps the mode it was
+compiled in, so it must not outlive a mode switch; `piecewise.Piece`
+keeps one per mode.
 """
 
 from __future__ import annotations
@@ -309,10 +310,10 @@ def evaluator(e: Expr) -> Callable[[Scalar], Scalar]:
 
     The tree is walked once: constants and `Poly` coefficients are converted
     to the mode's scalars here, and each node becomes a closure over its
-    children's closures.  Calling the result computes what `eval_finite`
-    computes, in the same order, and raises the same errors at the same
-    points, ExprEvalError on a non-finite float value included.  The result
-    belongs to the mode it was compiled in.
+    children's closures.  Rational mode is exact and rejects sin/cos/sqrt
+    (transcendental pieces need float mode); in float mode a non-finite
+    value raises ExprEvalError.  The result belongs to the mode it was
+    compiled in.
     """
     run = _compile(e, get_mode() == RATIONAL)
 
@@ -323,22 +324,6 @@ def evaluator(e: Expr) -> Callable[[Scalar], Scalar]:
         return value
 
     return checked
-
-
-def evaluate(e: Expr, x: Scalar) -> Scalar:
-    """Evaluate at a point of the current mode.
-
-    Rational mode is exact and rejects sin/cos/sqrt (transcendental pieces
-    need float mode).  Float mode may return non-finite values when probing
-    limits; use `eval_finite` when a finite value is required.
-    """
-    return _compile(e, get_mode() == RATIONAL)(x)
-
-
-def eval_finite(e: Expr, x: Scalar) -> Scalar:
-    """One finite value; to evaluate one expression at many points, call
-    `evaluator` once instead."""
-    return evaluator(e)(x)
 
 
 def _identity(x):

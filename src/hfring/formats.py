@@ -18,16 +18,19 @@ Function definition format (also the CLI input):
       }
     }
 
-``envelopes`` hold the lower bound's one-sided envelopes and, unless the
-piece has ``upper_envelopes``, the upper bound's too.  With
-``upper_envelopes`` present the upper bound takes only the ends listed
-there, and computes the others; a piece whose bounds are equal shares
-one envelope, and ``upper_envelopes`` there is an error.  An envelope's
-``provenance`` is "declared" (the default) or "estimated".
+A piece entry maps onto the piece's two `piecewise.Bound` records:
+``lower`` and ``envelopes`` are the lower record's expression and its
+one-sided envelopes, ``upper`` and ``upper_envelopes`` the upper
+record's.  A piece without ``upper``, or with ``upper`` equal to
+``lower``, is real-valued and holds one record as both bounds, so
+``upper_envelopes`` there is an error.  Otherwise the upper record takes
+the ``envelopes`` too unless ``upper_envelopes`` is present; with it, the
+upper record takes only the ends listed there and computes the others.
+An envelope's ``provenance`` is "declared" (the default) or "estimated".
 
 The writer stores only envelopes that are declared or estimated, with
 their provenance, and writes ``upper_envelopes`` only for a piece whose
-upper bound's stored envelopes differ from its lower bound's.  Evaluated
+upper record's stored envelopes differ from its lower record's.  Evaluated
 envelopes are not stored: reading a piece back recomputes them exactly, so
 they keep their provenance.
 
@@ -180,7 +183,7 @@ def hfunction_from_json(data: dict) -> HFunction:
     return pw.hfunction(domain, points, [p for _, _, p in piece_specs])
 
 
-def _envelopes_to_json(left: Optional[pw.EndEnvelope], right: Optional[pw.EndEnvelope]):
+def _envelopes_to_json(bound: pw.Bound):
     # evaluated envelopes are exact limits that make_piece recomputes on load;
     # written out, they would come back as declared data
     return {
@@ -189,7 +192,7 @@ def _envelopes_to_json(left: Optional[pw.EndEnvelope], right: Optional[pw.EndEnv
             "limsup": scalar_to_json(env.limsup),
             "provenance": env.provenance,
         }
-        for side, env in (("left", left), ("right", right))
+        for side, env in (("left", bound.left), ("right", bound.right))
         if env is not None and env.provenance != pw.EVALUATED
     }
 
@@ -199,14 +202,14 @@ def hfunction_to_json(f: HFunction) -> dict:
     for piece in f.pieces:
         entry = {
             "on": [_end_to_json(piece.lo, "lo"), _end_to_json(piece.hi, "hi")],
-            "lower": ex.to_text(piece.lower),
+            "lower": ex.to_text(piece.lower.expr),
         }
         if not piece.is_real:
-            entry["upper"] = ex.to_text(piece.upper)
-        envelopes = _envelopes_to_json(piece.lower_left, piece.lower_right)
+            entry["upper"] = ex.to_text(piece.upper.expr)
+        envelopes = _envelopes_to_json(piece.lower)
         if envelopes:
             entry["envelopes"] = envelopes
-        upper_envelopes = _envelopes_to_json(piece.upper_left, piece.upper_right)
+        upper_envelopes = _envelopes_to_json(piece.upper)
         if upper_envelopes != envelopes:
             entry["upper_envelopes"] = upper_envelopes
         pieces.append(entry)

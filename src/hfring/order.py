@@ -51,7 +51,7 @@ from .errors import (
 )
 from .interval import Interval
 from .piecewise import HFunction
-from .scalars import FLOAT, Scalar, get_mode, get_tolerance, scalar_eq, to_scalar
+from .scalars import Scalar, comparison_slack, scalar_eq, to_scalar
 
 FROM_BELOW = "from_below"
 FROM_ABOVE = "from_above"
@@ -74,9 +74,7 @@ def func_leq(f: HFunction, g: HFunction) -> bool:
         if not iv.leq(p.value, q.value):
             return False
     for a, b in zip(f.pieces, g.pieces):
-        for bound in ("lower", "upper"):
-            ea = getattr(a, bound)
-            eb = getattr(b, bound)
+        for ea, eb in ((a.lower.expr, b.lower.expr), (a.upper.expr, b.upper.expr)):
             if ex.is_linear(ea) and ex.is_linear(eb):
                 if not _linear_leq(ea, eb, a.lo, a.hi):
                     return False
@@ -90,7 +88,7 @@ def _linear_leq(ea, eb, lo, hi) -> bool:
     sa, ca = ex.linear_coeffs(ea)
     sb, cb = ex.linear_coeffs(eb)
     ds, dc = sb - sa, cb - ca  # difference eb - ea must be >= 0 on (lo, hi)
-    tol = get_tolerance() if get_mode() == FLOAT else 0
+    tol = comparison_slack()
 
     def val(x):
         return ds * x + dc
@@ -105,7 +103,7 @@ def _linear_leq(ea, eb, lo, hi) -> bool:
 
 
 def _sampled_leq(ea, eb, lo, hi) -> bool:
-    tol = get_tolerance() if get_mode() == FLOAT else 0
+    tol = comparison_slack()
     value_a, value_b = ex.evaluator(ea), ex.evaluator(eb)
     for x in pw._span_samples(lo, hi, 64, tag=("leq", str(lo), str(hi))):
         if value_a(x) > value_b(x) + tol:
@@ -186,7 +184,7 @@ def infconv_approx(f: HFunction, n: int, direction: str = FROM_BELOW) -> HFuncti
     slope = to_scalar(n)
     if not slope > 0:
         raise EngineError("regularization slope must be positive")
-    lines = [ex.linear_coeffs(piece.lower) for piece in f.pieces]
+    lines = [ex.linear_coeffs(piece.lower.expr) for piece in f.pieces]
     # knot k lies between pieces k - 1 and k; knots 1 .. len(points) are the points
     ends = (f.domain.lo, *f.breakpoints, f.domain.hi)
     finite = [k for k, x in enumerate(ends) if x is not None]
@@ -284,8 +282,10 @@ def _stability_zones(h_a: HFunction, h_b: HFunction):
     agreed = True
     for i, (pa, pb) in enumerate(zip(a.pieces, b.pieces)):
         same_piece = pw.piece_expr_equal(
-            pa.lower, pb.lower, pa.lo, pa.hi, tag=("stab-lo", i)
-        ) and pw.piece_expr_equal(pa.upper, pb.upper, pa.lo, pa.hi, tag=("stab-hi", i))
+            pa.lower.expr, pb.lower.expr, pa.lo, pa.hi, tag=("stab-lo", i)
+        ) and pw.piece_expr_equal(
+            pa.upper.expr, pb.upper.expr, pa.lo, pa.hi, tag=("stab-hi", i)
+        )
         elements = [(bounds[i], bounds[i + 1], same_piece)]  # (left, right, agrees)
         if i < len(a.points):
             same_point = iv.interval_eq(a.points[i].value, b.points[i].value)
@@ -346,7 +346,7 @@ def _collapse_points(scans, depth: int) -> List[Tuple[Scalar, Tuple[Scalar, Scal
             raise ConvergenceError(
                 f"zone ({l3!r}, {r3!r}) is not collapsing to a point at depth {depth}"
             )
-        eps = get_tolerance() if get_mode() == FLOAT else 0
+        eps = comparison_slack()
         if not (l3 - eps <= p_left <= r3 + eps):
             raise ConvergenceError("extrapolated collapse point escapes its zone")
         out.append((min(max(p_left, l3), r3), (l3, r3)))
@@ -404,7 +404,7 @@ def order_limit_stabilized(seq: FunctionSequence, depth: int) -> LimitResult:
     for u, w in zip(bounds, bounds[1:]):
         probe = _stable_probe(u, w, spans)
         source = e8.piece_at(probe)
-        pieces.append(pw.make_piece(u, w, source.lower, source.upper))
+        pieces.append(pw.make_piece(u, w, source.lower.expr, source.upper.expr))
     points = []
     for i, (x, value, is_collapse) in enumerate(break_list):
         if not is_collapse:
@@ -412,7 +412,7 @@ def order_limit_stabilized(seq: FunctionSequence, depth: int) -> LimitResult:
             continue
         # placeholder: fis/fsi give the same value for any point value inside
         # the hull of the abutting envelopes, and the left lower limit is one
-        points.append((x, Interval.point(pieces[i].lower_right.liminf)))
+        points.append((x, Interval.point(pieces[i].lower.right.liminf)))
     phi = pw.hfunction(e8.domain, points, pieces, validate=False)
     residual = max(r - l for l, r in scans[2])
     return LimitResult(completion(phi), residual, None, tuple(collapse_xs))
@@ -532,7 +532,7 @@ def _regularizing_offset(f: HFunction) -> int:
     worst = 0
     for piece in f.pieces:
         if piece.lo is None or piece.hi is None:
-            slope, _ = ex.linear_coeffs(piece.lower)
+            slope, _ = ex.linear_coeffs(piece.lower.expr)
             worst = max(worst, int(math.floor(abs(slope))) + (0 if slope == 0 else 1))
     return worst
 
@@ -553,26 +553,17 @@ def def3_from_sequences(
     depth: int,
 ) -> LimitResult:
     """Order limit of (f_n op g_n) for user-supplied approximating
-    sequences.  The sum of increasing sequences stays increasing; products
-    carry no monotonicity claim and are completed after stabilization."""
-    if op == "plus":
-        tag = (
-            "increasing"
-            if seq_f.monotonicity == seq_g.monotonicity == "increasing"
-            else "none"
-        )
-        combined = FunctionSequence(
-            lambda n: pw.pointwise_add(seq_f.element(n), seq_g.element(n)), tag
-        )
-        if tag == "increasing":
-            return order_limit_monotone(combined, depth)
-        return order_limit_stabilized(combined, depth)
-    if op == "times":
-        combined = FunctionSequence(
-            lambda n: pw.pointwise_mul(seq_f.element(n), seq_g.element(n)), "none"
-        )
-        return order_limit_stabilized(combined, depth)
-    raise EngineError(f"unknown op {op!r}")
+    sequences: the pointwise operation on the elements, stabilized and
+    completed by `order_limit_stabilized`.  No monotonicity is assumed or
+    checked; `_def3` compares the limit with the completion route instead."""
+    if op not in ("plus", "times"):
+        raise EngineError(f"unknown op {op!r}")
+
+    def element(n: int) -> HFunction:
+        combine = pw.pointwise_add if op == "plus" else pw.pointwise_mul
+        return combine(seq_f.element(n), seq_g.element(n))
+
+    return order_limit_stabilized(FunctionSequence(element), depth)
 
 
 def _def3(f: HFunction, g: HFunction, op: str, depth: int) -> algebra.OpReport:
@@ -626,8 +617,9 @@ def max_deviation(f: HFunction, g: HFunction) -> Scalar:
         worst = max(worst, iv.distance(p.value, q.value))
     per_piece = max(1, 1000 // len(f.pieces))
     for i, (a, b) in enumerate(zip(f.pieces, g.pieces)):
-        for bound in ("lower", "upper"):
-            ea, eb = getattr(a, bound), getattr(b, bound)
+        for bound, ea, eb in (
+            ("lower", a.lower.expr, b.lower.expr), ("upper", a.upper.expr, b.upper.expr)
+        ):
             if ea != eb:
                 d = _bound_deviation(ea, eb, a.lo, a.hi, per_piece, ("dev", i, bound))
                 worst = max(worst, d)

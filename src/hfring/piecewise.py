@@ -2,13 +2,14 @@
 open 1-D interval.
 
 A function is held as finitely many *special points* carrying interval
-values, with closed-form continuous pieces between them.  Every piece end
-abutting a special point (or a finite domain boundary) stores a one-sided
-limit envelope: the liminf/limsup of the bound expression as it approaches
-the end.  Envelopes are what the lower/upper envelope operators read at
-special points; they are computed as true limits where evaluation allows,
-estimated by geometric sampling otherwise, and may be overridden by
-declarations (subject to `validate_envelopes`).
+values, with closed-form continuous pieces between them.  A piece holds its
+lower and its upper bound as one `Bound` record each: the bound expression
+and its one-sided limit envelope at each end, the liminf/limsup of the
+expression as it approaches that end.  A real-valued piece has one bound,
+so it holds one record as both.  Envelopes are what the lower/upper
+envelope operators read at special points; they are computed as true
+limits where evaluation allows, estimated by geometric sampling otherwise,
+and may be overridden by declarations (subject to `validate_envelopes`).
 
 Special points may carry width-0 values: a breakpoint whose value matches
 both abutting limits is pruned by normalization when the neighbouring
@@ -20,10 +21,10 @@ from __future__ import annotations
 import operator
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import expr as ex
 from . import interval as iv
@@ -41,6 +42,7 @@ from .scalars import (
     RATIONAL,
     Scalar,
     check_finite,
+    comparison_slack,
     get_mode,
     get_seed,
     get_tolerance,
@@ -124,36 +126,42 @@ class EndEnvelope:
         return self.is_point and _PROV_RANK[self.provenance] <= 1
 
 
+class Bound(NamedTuple):
+    """One bound of a piece: its expression and the (liminf, limsup) of that
+    expression at the piece's left and right ends.  An envelope is None only
+    at an infinite end."""
+
+    expr: ex.Expr
+    left: Optional[EndEnvelope]
+    right: Optional[EndEnvelope]
+
+
 @dataclass(frozen=True)
 class Piece:
-    """Continuous piece on the open subinterval (lo, hi).
-
-    ``lower`` and ``upper`` are the bound expressions (equal trees for
-    real-valued pieces).  The four envelope slots are the (liminf, limsup)
-    of each bound at each end; None is allowed only at infinite ends.
-    """
+    """Continuous piece on the open subinterval (lo, hi) between its lower
+    and upper `Bound`.  A real-valued piece holds one record as both."""
 
     lo: Optional[Scalar]
     hi: Optional[Scalar]
-    lower: ex.Expr
-    upper: ex.Expr
-    lower_left: Optional[EndEnvelope]
-    lower_right: Optional[EndEnvelope]
-    upper_left: Optional[EndEnvelope]
-    upper_right: Optional[EndEnvelope]
+    lower: Bound
+    upper: Bound
 
     @property
     def is_real(self) -> bool:
-        return self.lower == self.upper
+        """The bound expressions are equal."""
+        return self.lower is self.upper or self.lower.expr == self.upper.expr
+
+    @property
+    def bounds(self) -> Tuple[Bound, ...]:
+        """The distinct bound records: one when the piece shares its record."""
+        return (self.lower,) if self.lower is self.upper else (self.lower, self.upper)
 
     @property
     def kind(self) -> str:
         """Coarser of the two bounds' classes: polynomial, rational, or
         transcendental."""
         order = ("polynomial", "rational", "transcendental")
-        lo = ex.classify(self.lower)
-        hi = lo if self.is_real else ex.classify(self.upper)
-        return max(lo, hi, key=order.index)
+        return max((ex.classify(b.expr) for b in self.bounds), key=order.index)
 
     @cached_property
     def _evaluators(self) -> dict:
@@ -168,8 +176,8 @@ class Piece:
         bounds = self._evaluators.get(mode)
         if bounds is None:
             bounds = self._evaluators[mode] = (
-                ex.evaluator(self.lower),
-                None if self.is_real else ex.evaluator(self.upper),
+                ex.evaluator(self.lower.expr),
+                None if self.is_real else ex.evaluator(self.upper.expr),
             )
         lower, upper = bounds
         lo = lower(x)
@@ -248,9 +256,7 @@ class HFunction:
 
     @property
     def is_piecewise_linear(self) -> bool:
-        return all(
-            ex.is_linear(p.lower) and ex.is_linear(p.upper) for p in self.pieces
-        )
+        return all(ex.is_linear(b.expr) for p in self.pieces for b in p.bounds)
 
 
 def _bound_ne(a: Optional[Scalar], b: Optional[Scalar]) -> bool:
@@ -364,20 +370,22 @@ def one_sided_envelope(
     return EndEnvelope(min(samples), max(samples), ESTIMATED)
 
 
-def _approach_samples(
-    value_at: Callable[[Scalar], Scalar], at: Scalar, side: str, reach: Scalar, steps: int = 48
-):
+_APPROACH_STEPS = 48  # halvings of the step towards the end
+
+
+def _approach_samples(value_at: Callable[[Scalar], Scalar], at: Scalar, side: str, reach: Scalar):
     sign = -1 if side == "-" else 1
     base = min(to_scalar(1), reach / 2) if reach is not None else to_scalar(1)
     out = []
     step = base
-    for _ in range(steps):
+    for _ in range(_APPROACH_STEPS):
         step = step / 2
         try:
             out.append(value_at(at + sign * step))
         except ExprEvalError:
             continue
-    return out[steps // 3 :] if len(out) > steps // 3 else out
+    skip = _APPROACH_STEPS // 3
+    return out[skip:] if len(out) > skip else out
 
 
 def _envelope_at_infinity(e: ex.Expr, side: str) -> Optional[EndEnvelope]:
@@ -433,28 +441,28 @@ def make_piece(
     real-valued pieces and a sound enclosure otherwise, unless
     ``declared_upper`` gives the upper bound's own (left, right) data; a
     None there leaves that end of the upper bound computed.  A piece whose
-    bounds are equal shares one envelope, so ``declared_upper`` raises
-    EnvelopeError there.
+    bounds are equal holds one `Bound` record as both, so ``declared_upper``
+    raises EnvelopeError there.
     """
-    lower_c = ex.canonical(lower)
-    upper_c = lower_c if upper is None else ex.canonical(upper)
     reach = _reach(lo, hi)
-    left_declared = _declared_env(declared_left)
-    right_declared = _declared_env(declared_right)
-    lower_left = left_declared or one_sided_envelope(lower_c, lo, "+", reach)
-    lower_right = right_declared or one_sided_envelope(lower_c, hi, "-", reach)
-    if upper_c == lower_c:
+
+    def bound(e: ex.Expr, left_declared, right_declared) -> Bound:
+        return Bound(
+            e,
+            left_declared or one_sided_envelope(e, lo, "+", reach),
+            right_declared or one_sided_envelope(e, hi, "-", reach),
+        )
+
+    declared = (_declared_env(declared_left), _declared_env(declared_right))
+    lower_b = bound(ex.canonical(lower), *declared)
+    upper_c = lower_b.expr if upper is None else ex.canonical(upper)
+    if upper_c == lower_b.expr:
         if declared_upper is not None:
             raise EnvelopeError("upper envelopes declared for a piece whose bounds are equal")
-        upper_left, upper_right = lower_left, lower_right
-    else:
-        if declared_upper is not None:
-            left_declared, right_declared = map(_declared_env, declared_upper)
-        upper_left = left_declared or one_sided_envelope(upper_c, lo, "+", reach)
-        upper_right = right_declared or one_sided_envelope(upper_c, hi, "-", reach)
-    return Piece(
-        lo, hi, lower_c, upper_c, lower_left, lower_right, upper_left, upper_right
-    )
+        return Piece(lo, hi, lower_b, lower_b)
+    if declared_upper is not None:
+        declared = tuple(map(_declared_env, declared_upper))
+    return Piece(lo, hi, lower_b, bound(upper_c, *declared))
 
 
 def _reach(lo: Optional[Scalar], hi: Optional[Scalar]) -> Scalar:
@@ -492,10 +500,10 @@ def validate_function(f: HFunction) -> None:
     inside), lower <= upper pointwise, interior envelopes present.  The
     first two are sampled (``_VALIDATE_SAMPLES`` per piece), except on real
     polynomial pieces in rational mode, where they hold by construction."""
-    tol = get_tolerance() if get_mode() == FLOAT else 0
+    tol = comparison_slack()
     for i, piece in enumerate(f.pieces):
-        for bound in {id(piece.lower): piece.lower, id(piece.upper): piece.upper}.values():
-            for den in ex.div_denominators(bound):
+        for bound in piece.bounds:
+            for den in ex.div_denominators(bound.expr):
                 coeffs = ex.poly_coeffs(den)
                 if coeffs is not None and ex.count_poly_roots_inside(
                     coeffs, piece.lo, piece.hi
@@ -504,7 +512,8 @@ def validate_function(f: HFunction) -> None:
                         f"denominator {ex.to_text(den)} vanishes inside "
                         f"({piece.lo!r}, {piece.hi!r})"
                     )
-        if get_mode() == RATIONAL and piece.is_real and ex.poly_coeffs(piece.lower) is not None:
+        if (get_mode() == RATIONAL and piece.is_real
+                and ex.poly_coeffs(piece.lower.expr) is not None):
             samples = []  # finite everywhere and lower is upper: no sample can fail
         else:
             samples = _span_samples(piece.lo, piece.hi, _VALIDATE_SAMPLES, tag=("validate", i))
@@ -522,10 +531,9 @@ def validate_function(f: HFunction) -> None:
                 )
         left_interior = i > 0
         right_interior = i < len(f.pieces) - 1
-        if left_interior and (piece.lower_left is None or piece.upper_left is None):
-            raise EnvelopeError("missing envelope at an interior special point")
-        if right_interior and (piece.lower_right is None or piece.upper_right is None):
-            raise EnvelopeError("missing envelope at an interior special point")
+        for bound in piece.bounds:
+            if (left_interior and bound.left is None) or (right_interior and bound.right is None):
+                raise EnvelopeError("missing envelope at an interior special point")
 
 
 def _span_samples(
@@ -589,21 +597,23 @@ def refine(f: HFunction, xs: Iterable[Scalar]) -> HFunction:
             x = new[j]
             j += 1
             v_lo, v_hi = original.bound_values(x)
-            env_lo = EndEnvelope(v_lo, v_lo, EVALUATED)
-            env_hi = env_lo if piece.is_real else EndEnvelope(v_hi, v_hi, EVALUATED)
-            pieces.append(Piece(
-                piece.lo, x, piece.lower, piece.upper,
-                piece.lower_left, env_lo, piece.upper_left, env_hi,
-            ))
-            points.append(SpecialPoint(x, Interval(min(v_lo, v_hi), max(v_lo, v_hi))))
-            piece = Piece(
-                x, piece.hi, piece.lower, piece.upper,
-                env_lo, piece.lower_right, env_hi, piece.upper_right,
+            lower_l, lower_r = _split(piece.lower, v_lo)
+            upper_l, upper_r = (
+                (lower_l, lower_r) if piece.is_real else _split(piece.upper, v_hi)
             )
+            pieces.append(Piece(piece.lo, x, lower_l, upper_l))
+            points.append(SpecialPoint(x, Interval(min(v_lo, v_hi), max(v_lo, v_hi))))
+            piece = Piece(x, piece.hi, lower_r, upper_r)
         pieces.append(piece)
         if i < len(f.points):
             points.append(f.points[i])
     return HFunction(f.domain, tuple(points), tuple(pieces))
+
+
+def _split(bound: Bound, value: Scalar) -> Tuple[Bound, Bound]:
+    """The bound's records left and right of a point where it takes ``value``."""
+    env = EndEnvelope(value, value, EVALUATED)
+    return Bound(bound.expr, bound.left, env), Bound(bound.expr, env, bound.right)
 
 
 def align(f: HFunction, g: HFunction) -> Tuple[HFunction, HFunction]:
@@ -669,34 +679,30 @@ def pointwise_add(f: HFunction, g: HFunction) -> HFunction:
     ]
     pieces = []
     for a, b in zip(f.pieces, g.pieces):
-        lower = ex.add(a.lower, b.lower)
-        upper = lower if (a.is_real and b.is_real) else ex.add(a.upper, b.upper)
-        pieces.append(
-            Piece(
-                a.lo, a.hi, lower, upper,
-                _combine_env(a.lower_left, b.lower_left, operator.add),
-                _combine_env(a.lower_right, b.lower_right, operator.add),
-                _combine_env(a.upper_left, b.upper_left, operator.add),
-                _combine_env(a.upper_right, b.upper_right, operator.add),
-            )
-        )
+        lower = _combine(a.lower, b.lower, operator.add, ex.add(a.lower.expr, b.lower.expr))
+        upper = lower
+        if not (a.is_real and b.is_real):
+            upper = _combine(a.upper, b.upper, operator.add, ex.add(a.upper.expr, b.upper.expr))
+        pieces.append(Piece(a.lo, a.hi, lower, upper))
     return HFunction(f.domain, tuple(points), tuple(pieces))
+
+
+def _combine(a: Bound, b: Bound, op, expr: ex.Expr) -> Bound:
+    """The bound ``op(a, b)`` whose expression is ``expr``."""
+    return Bound(expr, _combine_env(a.left, b.left, op), _combine_env(a.right, b.right, op))
 
 
 def pointwise_neg(f: HFunction) -> HFunction:
     points = [SpecialPoint(p.x, iv.neg(p.value)) for p in f.points]
     pieces = []
     for p in f.pieces:
-        lower = ex.negate(p.upper)
-        upper = lower if p.is_real else ex.negate(p.lower)
-        pieces.append(
-            Piece(
-                p.lo, p.hi, lower, upper,
-                _negate_env(p.upper_left), _negate_env(p.upper_right),
-                _negate_env(p.lower_left), _negate_env(p.lower_right),
-            )
-        )
+        lower = _negate(p.upper)
+        pieces.append(Piece(p.lo, p.hi, lower, lower if p.is_real else _negate(p.lower)))
     return HFunction(f.domain, tuple(points), tuple(pieces))
+
+
+def _negate(bound: Bound) -> Bound:
+    return Bound(ex.negate(bound.expr), _negate_env(bound.left), _negate_env(bound.right))
 
 
 def _negate_env(e: Optional[EndEnvelope]) -> Optional[EndEnvelope]:
@@ -722,30 +728,18 @@ def pointwise_mul(f: HFunction, g: HFunction) -> HFunction:
     pieces = []
     for a, b in zip(f.pieces, g.pieces):
         if a.is_real and b.is_real:
-            prod = ex.mul(a.lower, b.lower)
-            pieces.append(
-                Piece(
-                    a.lo, a.hi, prod, prod,
-                    _combine_env(a.lower_left, b.lower_left, operator.mul),
-                    _combine_env(a.lower_right, b.lower_right, operator.mul),
-                    _combine_env(a.upper_left, b.upper_left, operator.mul),
-                    _combine_env(a.upper_right, b.upper_right, operator.mul),
-                )
-            )
+            prod = _combine(a.lower, b.lower, operator.mul, ex.mul(a.lower.expr, b.lower.expr))
+            pieces.append(Piece(a.lo, a.hi, prod, prod))
         else:
             pieces.append(_mul_proper_pieces(a, b))
     return HFunction(f.domain, tuple(points), tuple(pieces))
 
 
 def _mul_proper_pieces(a: Piece, b: Piece) -> Piece:
-    candidates = [
-        (ex.mul(a.lower, b.lower), ("lower", "lower")),
-        (ex.mul(a.lower, b.upper), ("lower", "upper")),
-        (ex.mul(a.upper, b.lower), ("upper", "lower")),
-        (ex.mul(a.upper, b.upper), ("upper", "upper")),
-    ]
+    factors = [(p, q) for p in (a.lower, a.upper) for q in (b.lower, b.upper)]
+    products = [ex.mul(p.expr, q.expr) for p, q in factors]
     xs = _span_samples(a.lo, a.hi, 65, tag=("mulpick", str(a.lo), str(a.hi)))
-    values_at = [ex.evaluator(c) for c, _ in candidates]
+    values_at = [ex.evaluator(c) for c in products]
     rows = [[value_at(x) for value_at in values_at] for x in xs]
     low_idx = _consistent_winner(rows, min)
     high_idx = _consistent_winner(rows, max)
@@ -754,19 +748,13 @@ def _mul_proper_pieces(a: Piece, b: Piece) -> Piece:
             "product bounds change shape inside a proper interval piece; "
             "insert a breakpoint where the winning product changes"
         )
-    lower, low_slots = candidates[low_idx]
-    upper, high_slots = candidates[high_idx]
 
-    def env(piece: Piece, slot: str, side: str) -> Optional[EndEnvelope]:
-        return getattr(piece, f"{slot}_{side}")
+    def bound(k: int) -> Bound:
+        return _combine(*factors[k], operator.mul, products[k])
 
-    return Piece(
-        a.lo, a.hi, lower, upper,
-        _combine_env(env(a, low_slots[0], "left"), env(b, low_slots[1], "left"), operator.mul),
-        _combine_env(env(a, low_slots[0], "right"), env(b, low_slots[1], "right"), operator.mul),
-        _combine_env(env(a, high_slots[0], "left"), env(b, high_slots[1], "left"), operator.mul),
-        _combine_env(env(a, high_slots[0], "right"), env(b, high_slots[1], "right"), operator.mul),
-    )
+    lower = bound(low_idx)
+    upper = lower if products[high_idx] == lower.expr else bound(high_idx)
+    return Piece(a.lo, a.hi, lower, upper)
 
 
 def _consistent_winner(rows, pick) -> Optional[int]:
@@ -786,7 +774,7 @@ def side_envelopes(f: HFunction, i: int) -> Tuple[EndEnvelope, EndEnvelope, EndE
     where left means the envelope of the piece left of the point."""
     left = f.pieces[i]
     right = f.pieces[i + 1]
-    slots = (left.lower_right, right.lower_left, left.upper_right, right.upper_left)
+    slots = (left.lower.right, right.lower.left, left.upper.right, right.upper.left)
     if any(s is None for s in slots):
         raise EnvelopeError("missing envelope at an interior special point")
     return slots  # type: ignore[return-value]
@@ -886,21 +874,26 @@ def common_point_domain(fs) -> DenseSubsetSpec:
 # ---------------------------------------------------------------------------
 
 
-def declare_envelope(
-    f: HFunction, x, liminf, limsup, side: str = "both"
-) -> HFunction:
-    """Override the envelopes abutting breakpoint x with declared data."""
+def declare_envelope(f: HFunction, x, liminf, limsup) -> HFunction:
+    """Override the envelopes of both bounds on both sides of breakpoint x
+    with one declared envelope."""
     x = to_scalar(x)
     idx = f.point_index(x)
     if idx is None:
         raise DomainError(f"{x!r} is not a special point")
     env = EndEnvelope(to_scalar(liminf), to_scalar(limsup), DECLARED)
     pieces = list(f.pieces)
-    if side in ("both", "left"):
-        pieces[idx] = replace(pieces[idx], lower_right=env, upper_right=env)
-    if side in ("both", "right"):
-        pieces[idx + 1] = replace(pieces[idx + 1], lower_left=env, upper_left=env)
+    pieces[idx] = _map_bounds(pieces[idx], lambda b: b._replace(right=env))
+    pieces[idx + 1] = _map_bounds(pieces[idx + 1], lambda b: b._replace(left=env))
     return HFunction(f.domain, f.points, tuple(pieces))
+
+
+def _map_bounds(piece: Piece, change: Callable[[Bound], Bound]) -> Piece:
+    """``piece`` with ``change`` applied to each bound record, once to a
+    shared one."""
+    lower = change(piece.lower)
+    upper = lower if piece.lower is piece.upper else change(piece.upper)
+    return Piece(piece.lo, piece.hi, lower, upper)
 
 
 @dataclass(frozen=True)
@@ -930,23 +923,14 @@ def validate_envelopes(f: HFunction) -> List[EnvelopeCheck]:
     bounds (sharpness; necessarily a weaker, sampling-limited check).
     Report-only.
     """
-    eps = get_tolerance() if get_mode() == FLOAT else 0.0
+    eps = comparison_slack()
     checks: List[EnvelopeCheck] = []
-    for i, piece in enumerate(f.pieces):
-        ends = (
-            (piece.lo, "+", (piece.lower_left, piece.upper_left)),
-            (piece.hi, "-", (piece.lower_right, piece.upper_right)),
-        )
-        for at, side, (env_lo, env_hi) in ends:
-            seen = set()
-            for env, bound in ((env_lo, piece.lower), (env_hi, piece.upper)):
-                if env is None or env.provenance == EVALUATED:
-                    continue
-                key = (id(env), id(bound))
-                if key in seen:
-                    continue  # real pieces share one bound and one envelope
-                seen.add(key)
-                checks.append(_check_envelope(bound, at, side, env, piece, eps))
+    for piece in f.pieces:
+        for at, side in ((piece.lo, "+"), (piece.hi, "-")):
+            for bound in piece.bounds:
+                env = bound.left if side == "+" else bound.right
+                if env is not None and env.provenance != EVALUATED:
+                    checks.append(_check_envelope(bound.expr, at, side, env, piece, eps))
     return checks
 
 
@@ -1008,11 +992,9 @@ def normalize(f: HFunction) -> HFunction:
     for point, right in zip(f.points, f.pieces[1:]):
         left = pieces[-1]
         if _removable(point, left, right):
-            pieces[-1] = Piece(
-                left.lo, right.hi, left.lower, left.upper,
-                left.lower_left, right.lower_right,
-                left.upper_left, right.upper_right,
-            )
+            lower = left.lower._replace(right=right.lower.right)
+            upper = lower if left.is_real else left.upper._replace(right=right.upper.right)
+            pieces[-1] = Piece(left.lo, right.hi, lower, upper)
         else:
             points.append(point)
             pieces.append(right)
@@ -1025,12 +1007,12 @@ def _removable(point: SpecialPoint, left: Piece, right: Piece) -> bool:
     if not point.value.is_point:
         return False
     v = point.value.lo
-    envs = (left.lower_right, left.upper_right, right.lower_left, right.upper_left)
+    envs = (left.lower.right, left.upper.right, right.lower.left, right.upper.left)
     if any(e is None or not e.is_exact_limit or e.provenance != EVALUATED
            or not scalar_eq(e.liminf, v) for e in envs):
         return False
-    return (ex.exact_equal(left.lower, right.lower)
-            and ex.exact_equal(left.upper, right.upper))
+    return (ex.exact_equal(left.lower.expr, right.lower.expr)
+            and ex.exact_equal(left.upper.expr, right.upper.expr))
 
 
 def piece_expr_equal(a: ex.Expr, b: ex.Expr, lo, hi, tag="eq") -> bool:
@@ -1064,9 +1046,9 @@ def func_equal(f: HFunction, g: HFunction) -> bool:
         if not scalar_eq(p.x, q.x) or not iv.interval_eq(p.value, q.value):
             return False
     for a, b in zip(f.pieces, g.pieces):
-        if not piece_expr_equal(a.lower, b.lower, a.lo, a.hi):
+        if not piece_expr_equal(a.lower.expr, b.lower.expr, a.lo, a.hi):
             return False
-        if not piece_expr_equal(a.upper, b.upper, a.lo, a.hi):
+        if not piece_expr_equal(a.upper.expr, b.upper.expr, a.lo, a.hi):
             return False
     return True
 

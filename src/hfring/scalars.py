@@ -54,6 +54,13 @@ def get_tolerance() -> float:
     return _tolerance
 
 
+def comparison_slack() -> float:
+    """Slack of an order comparison: the tolerance in float mode, and the
+    integer 0 in rational mode, so that a rational compared against it
+    stays exact."""
+    return _tolerance if _mode == FLOAT else 0
+
+
 def set_seed(seed: int) -> None:
     """Seed for every deterministic pseudo-random sampling in the engine."""
     global _seed
@@ -159,8 +166,3 @@ def _terminating_decimal(a: Fraction) -> Optional[str]:
     whole, frac = text[:-digits], text[-digits:]
     sign = "-" if a.numerator < 0 else ""
     return f"{sign}{whole}.{frac}"
-
-
-def parse_scalar(text: str) -> Scalar:
-    """Read a CLI-supplied number (integer, decimal, or ``p/q``)."""
-    return to_scalar(text)

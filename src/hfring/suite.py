@@ -79,8 +79,8 @@ def random_s_continuous(
         pad_lo = Fraction(rng.randint(0, 4), 2)
         pad_hi = Fraction(rng.randint(0, 4), 2)
         if pad_lo or pad_hi:
-            lower = ex.sub(p.lower, ex.const(pad_lo))
-            upper = ex.add(p.upper, ex.const(pad_hi))
+            lower = ex.sub(p.lower.expr, ex.const(pad_lo))
+            upper = ex.add(p.upper.expr, ex.const(pad_hi))
             pieces[idx] = pw.make_piece(p.lo, p.hi, lower, upper)
     f = pw.HFunction(core.domain, core.points, tuple(pieces))
     points = []
@@ -106,7 +106,8 @@ def random_inclusion_pair(
     pieces = []
     for p in g.pieces:
         # lower + lam * (upper - lower), linear interpolation inside g
-        mix = ex.add(p.lower, ex.mul(ex.const(lam), ex.sub(p.upper, p.lower)))
+        low, high = p.lower.expr, p.upper.expr
+        mix = ex.add(low, ex.mul(ex.const(lam), ex.sub(high, low)))
         pieces.append(pw.make_piece(p.lo, p.hi, mix))
     points = []
     for p in g.points:

@@ -115,7 +115,7 @@ def _fsi_reference(f):
 
 
 def _envelopes(f):
-    return [(p.lower_left, p.lower_right, p.upper_left, p.upper_right) for p in f.pieces]
+    return [(p.lower.left, p.lower.right, p.upper.left, p.upper.right) for p in f.pieces]
 
 
 def _assert_closed_form_matches(f):
@@ -160,13 +160,13 @@ def test_closed_form_prunes_where_the_composition_does(float_mode):
     x0 = 0.1
     def jump(left, right):
         el, er = ex.poly_expr(left), ex.poly_expr(right)
-        vl, vr = ex.eval_finite(el, x0), ex.eval_finite(er, x0)
+        vl, vr = ex.evaluator(el)(x0), ex.evaluator(er)(x0)
         return pw.hfunction(
             Domain.of(-1, 1), [(x0, Interval(min(vl, vr), max(vl, vr)))],
             [pw.make_piece(-1.0, x0, el), pw.make_piece(x0, 1.0, er)], validate=False,
         )
     s = pw.pointwise_add(jump([0.1, 0.1], [0.3, 0.1]), jump([0.9, 0.9], [0.7, 0.9]))
-    assert s.pieces[0].upper_right != s.pieces[1].upper_left
+    assert s.pieces[0].upper.right != s.pieces[1].upper.left
     _assert_closed_form_matches(s)
     assert baire.fis(s).points == ()
 
@@ -175,8 +175,8 @@ def test_closed_form_needs_envelopes_at_breakpoints(step_pair):
     f, _ = step_pair
     left = f.pieces[0]
     bare = pw.HFunction(f.domain, f.points, (
-        pw.Piece(left.lo, left.hi, left.lower, left.upper,
-                 left.lower_left, None, left.upper_left, None),
+        pw.Piece(left.lo, left.hi, left.lower._replace(right=None),
+                 left.upper._replace(right=None)),
         f.pieces[1],
     ))
     for operator in (baire.fis, baire.fsi):

@@ -299,6 +299,23 @@ class TestValidate:
         assert checks[(0, "left")]["observed_min"] == 1
         assert checks[(0, "left")]["observed_max"] == 1
 
+    def test_exact_declaration_passes_in_rational_mode(self, tmp_path):
+        # the declared envelope is the exact limit 1/3, so the check's slack
+        # must keep 1/3 exact: 1/3 - 0.0 is a float just below 1/3
+        defs = tmp_path / "defs.json"
+        defs.write_text(json.dumps({"functions": {"f": {
+            "domain": [0, 1],
+            "pieces": [
+                {"on": [0, "1/2"], "lower": "1/3",
+                 "envelopes": {"right": {"liminf": "1/3", "limsup": "1/3"}}},
+                {"on": ["1/2", 1], "lower": "1/3"},
+            ],
+            "points": [{"x": "1/2", "value": "1/3"}],
+        }}}))
+        out = run_cli("validate", str(defs)).stdout
+        (check,) = json.loads(out)["f"]["envelopes"]
+        assert check["passed"] and check["message"] == "ok"
+
     def test_oscillation_validates_in_float_mode(self):
         out = run_cli("--mode", "float", "validate", OSC).stdout
         data = json.loads(out)
@@ -352,7 +369,11 @@ def test_parser_is_built_once_and_keeps_no_declarations(monkeypatch):
      "a364206f4af87d62cdcbd7ce8e1212501b5c8625cb87a8605b9513c60423fbdb"),
     (["verify-ring", "--count", "40"],
      "464d13747ed47783639c25edfc12221f3ae7cc79b497e9f5836c95b1d6608876"),
-], ids=["float-validate", "verify-ring"])
+    (["op", STEP, "f * g", "--check-all"],
+     "3118a81b2113c503081d4d5cb89bbae48effad0409a908351df1b2bceb0d0ef3"),
+    (["op", STEP, "f + g", "--check-all"],
+     "370efe11a1c91f6bacd88a7cb78f500a28b0349410b52dfebf83097fbececf69"),
+], ids=["float-validate", "verify-ring", "op-times", "op-plus"])
 def test_reference_outputs(argv, digest):
     out = run_cli(*argv).stdout
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -109,30 +109,30 @@ class TestPolyNode:
     def test_float_mode_evaluates_poly(self):
         p = ex.canonical(ex.parse("x*x - 1/3*x + 5"))
         scalars.set_mode(scalars.FLOAT)
-        assert ex.evaluate(p, 3.0) == pytest.approx(13.0)
+        assert ex.evaluator(p)(3.0) == pytest.approx(13.0)
 
 
 class TestEvaluation:
     def test_rational_exact(self):
         tree = ex.parse("(2*x+1)/(x-3)")
-        assert ex.evaluate(tree, Fraction(1)) == Fraction(3, -2)
-        assert ex.evaluate(ex.canonical(tree), Fraction(1)) == Fraction(3, -2)
-        assert ex.evaluate(ex.canonical(ex.parse("2*x*x - x")), Fraction(1, 2)) == 0
+        assert ex.evaluator(tree)(Fraction(1)) == Fraction(3, -2)
+        assert ex.evaluator(ex.canonical(tree))(Fraction(1)) == Fraction(3, -2)
+        assert ex.evaluator(ex.canonical(ex.parse("2*x*x - x")))(Fraction(1, 2)) == 0
 
     def test_pole_raises(self):
         with pytest.raises(ExprEvalError):
-            ex.evaluate(ex.parse("1/x"), Fraction(0))
+            ex.evaluator(ex.parse("1/x"))(Fraction(0))
 
     def test_transcendental_needs_float_mode(self):
         with pytest.raises(ExprEvalError):
-            ex.evaluate(ex.parse("sin(x)"), Fraction(0))
+            ex.evaluator(ex.parse("sin(x)"))(Fraction(0))
         scalars.set_mode(scalars.FLOAT)
-        assert abs(ex.evaluate(ex.parse("sin(x)"), 0.0)) < 1e-15
+        assert abs(ex.evaluator(ex.parse("sin(x)"))(0.0)) < 1e-15
 
     def test_sqrt_domain_error(self):
         scalars.set_mode(scalars.FLOAT)
         with pytest.raises(ExprEvalError):
-            ex.evaluate(ex.parse("sqrt(x)"), -1.0)
+            ex.evaluator(ex.parse("sqrt(x)"))(-1.0)
 
 
 class TestAnalysis:
@@ -318,8 +318,6 @@ def test_evaluator_is_the_interpreter(tree, mode, data):
         compiled = ex.evaluator(tree)
         for x in xs:
             assert _outcome(compiled, x) == _outcome(_reference_eval_finite, tree, x)
-            assert _outcome(ex.evaluate, tree, x) == _outcome(_reference_evaluate, tree, x)
-            assert _outcome(ex.eval_finite, tree, x) == _outcome(_reference_eval_finite, tree, x)
 
 
 def _count_compiles(monkeypatch):

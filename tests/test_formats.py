@@ -62,17 +62,17 @@ class TestFunctionJson:
         f = loaded["f"]
         written = formats.hfunction_from_json(formats.hfunction_to_json(f))
         for g in (f, written):
-            env = g.pieces[0].lower_right
+            env = g.pieces[0].lower.right
             assert env.provenance == "declared"
             assert env.liminf == -1 and env.limsup == 1
 
     def test_estimated_envelopes_stay_estimated(self, float_mode):
         loaded = formats.load_defs(f"{DATA_DIR}/oscillation_pair.json")
         s = pw.pointwise_add(loaded["f"], loaded["g"])
-        assert s.pieces[1].lower_left.provenance == pw.ESTIMATED
+        assert s.pieces[1].lower.left.provenance == pw.ESTIMATED
         back = formats.hfunction_from_json(formats.hfunction_to_json(s))
-        assert back.pieces[1].lower_left == s.pieces[1].lower_left
-        assert back.pieces[1].upper_left == s.pieces[1].upper_left
+        assert back.pieces[1].lower.left == s.pieces[1].lower.left
+        assert back.pieces[1].upper.left == s.pieces[1].upper.left
 
     def test_upper_envelopes_written_where_they_differ(self, float_mode):
         # a proper piece whose bounds oscillate differently at 0
@@ -81,8 +81,8 @@ class TestFunctionJson:
             [pw.make_piece(0.0, 1.0, ex.parse("sin(1/x) - 2"), ex.parse("cos(1/x) + 2"),
                            declared_left=(-3, -1))],
         )
-        f = pw.HFunction(f.domain, f.points, (replace(
-            f.pieces[0], upper_left=pw.EndEnvelope(1.0, 3.0, pw.ESTIMATED)),))
+        upper = f.pieces[0].upper._replace(left=pw.EndEnvelope(1.0, 3.0, pw.ESTIMATED))
+        f = pw.HFunction(f.domain, f.points, (replace(f.pieces[0], upper=upper),))
         data = formats.hfunction_to_json(f)
         piece = data["pieces"][0]
         assert piece["envelopes"]["left"]["provenance"] == "declared"
@@ -100,7 +100,7 @@ class TestFunctionJson:
             [pw.make_piece(0.0, 1.0, ex.parse("sin(1/x) - 2"), ex.parse("x + 2"),
                            declared_left=(-3, -1), declared_upper=(None, None))],
         )
-        assert f.pieces[0].upper_left.provenance == pw.EVALUATED
+        assert f.pieces[0].upper.left.provenance == pw.EVALUATED
         data = formats.hfunction_to_json(f)
         assert data["pieces"][0]["upper_envelopes"] == {}
         assert formats.hfunction_from_json(data).pieces == f.pieces
@@ -162,7 +162,7 @@ def _same_envelope(a, b):
 
 
 def _envelopes(f):
-    return [(p.lower_left, p.lower_right, p.upper_left, p.upper_right) for p in f.pieces]
+    return [(p.lower.left, p.lower.right, p.upper.left, p.upper.right) for p in f.pieces]
 
 
 @settings(max_examples=120, deadline=None)

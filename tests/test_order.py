@@ -86,7 +86,7 @@ class TestInfconv:
             lower = pw.hfunction(
                 f.domain,
                 [(p.x, Interval.point(p.value.lo)) for p in f.points],
-                [pw.make_piece(p.lo, p.hi, p.lower) for p in f.pieces],
+                [pw.make_piece(p.lo, p.hi, p.lower.expr) for p in f.pieces],
                 validate=False,
             )
             assert order.func_leq(m, lower)
@@ -107,7 +107,7 @@ class TestInfconv:
         upper = pw.hfunction(
             f.domain,
             [(p.x, Interval.point(p.value.hi)) for p in f.points],
-            [pw.make_piece(p.lo, p.hi, p.upper) for p in f.pieces],
+            [pw.make_piece(p.lo, p.hi, p.upper.expr) for p in f.pieces],
             validate=False,
         )
         assert order.func_leq(upper, m)
@@ -258,6 +258,17 @@ class TestDef3:
         assert pw.func_equal(report.result, report.witnesses["def1"])
         assert report.max_deviation == 0
 
+    def test_route_makes_no_monotone_checks(self, step_pair, monkeypatch):
+        # the limit comes from stabilization alone; def1 is the check
+        def refuse(*args, **kwargs):
+            raise AssertionError("monotone contract checked")
+
+        monkeypatch.setattr(order, "order_limit_monotone", refuse)
+        monkeypatch.setattr(FunctionSequence, "spot_check_monotone", refuse)
+        f, g = step_pair
+        for op in (order.oplus_def3, order.otimes_def3):
+            assert op(f, g, depth=32).max_deviation == 0
+
     def test_suite_pairs_match_def1(self):
         functions = suite.h_continuous_suite(63, 8)
         for i in range(0, 8, 2):
@@ -282,6 +293,21 @@ class TestDef3:
             for op in (order.oplus_def3, order.otimes_def3):
                 assert op(f, g, depth=4096).max_deviation == 0
 
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), depth=st.sampled_from([8, 64, 512, 4096]))
+def test_from_below_sequences_increase(seed, depth):
+    # the order the def3 sum relies on without checking it: each operand's
+    # approximants, and their sums, increase on the leading elements and at
+    # the working depth
+    f, g = suite.h_continuous_suite(seed, 2)
+    fs, gs = order.from_below_sequence(f), order.from_below_sequence(g)
+    sums = FunctionSequence(lambda n: pw.pointwise_add(fs.element(n), gs.element(n)))
+    for seq in (fs, gs, sums):
+        for n in (1, 2, 3):
+            assert order.func_leq(seq.element(n), seq.element(n + 1))
+        assert order.func_leq(seq.element(depth), seq.element(2 * depth))
 
 
 class TestMixture:
@@ -344,7 +370,6 @@ class TestMaxDeviation:
         def refuse(e, x):
             raise AssertionError("evaluated an expression")
 
-        monkeypatch.setattr(ex, "eval_finite", refuse)
         monkeypatch.setattr(ex, "evaluator", lambda e: refuse(e, None))
         for f in functions:
             assert order.max_deviation(f, f) == 0
@@ -365,7 +390,7 @@ class TestMaxDeviation:
 def _with_domain(f, domain):
     """f with its first and last pieces stretched to the ends of ``domain``."""
     ends = [domain.lo, *f.breakpoints, domain.hi]
-    pieces = [pw.make_piece(u, w, p.lower) for u, w, p in zip(ends, ends[1:], f.pieces)]
+    pieces = [pw.make_piece(u, w, p.lower.expr) for u, w, p in zip(ends, ends[1:], f.pieces)]
     return pw.hfunction(domain, [(p.x, p.value) for p in f.points], pieces, validate=False)
 
 
@@ -375,7 +400,7 @@ def _infconv_reference(f, n, x):
     clipped to the piece."""
     values = [p.value.lo + n * abs(x - p.x) for p in f.points]
     for piece in f.pieces:
-        a, b = ex.linear_coeffs(piece.lower)
+        a, b = ex.linear_coeffs(piece.lower.expr)
         clipped = x
         if piece.lo is not None:
             clipped = max(clipped, piece.lo)
@@ -409,8 +434,8 @@ def test_infconv_is_the_brute_force_minimum(seed, denominator, ends, n, directio
         try:
             m = order.infconv_approx(f, n, direction)
         except EngineError:
-            first, _ = ex.linear_coeffs(operand.pieces[0].lower)
-            last, _ = ex.linear_coeffs(operand.pieces[-1].lower)
+            first, _ = ex.linear_coeffs(operand.pieces[0].lower.expr)
+            last, _ = ex.linear_coeffs(operand.pieces[-1].lower.expr)
             assert (first > n and f.domain.lo is None) or (last < -n and f.domain.hi is None)
             return
         # in float mode too, no two breakpoints are within the tolerance
@@ -462,8 +487,10 @@ def _flag_scan_zones(h_a, h_b):
     for i in range(n + 1):
         pa, pb = a.pieces[i], b.pieces[i]
         ok = pw.piece_expr_equal(
-            pa.lower, pb.lower, pa.lo, pa.hi, tag=("stab-lo", i)
-        ) and pw.piece_expr_equal(pa.upper, pb.upper, pa.lo, pa.hi, tag=("stab-hi", i))
+            pa.lower.expr, pb.lower.expr, pa.lo, pa.hi, tag=("stab-lo", i)
+        ) and pw.piece_expr_equal(
+            pa.upper.expr, pb.upper.expr, pa.lo, pa.hi, tag=("stab-hi", i)
+        )
         flags.append(("piece", i, ok))
         if i < n:
             flags.append(("point", i, iv.interval_eq(a.points[i].value, b.points[i].value)))

@@ -14,7 +14,7 @@ from hfring.errors import DomainError, NumericRangeError, PieceError, Representa
 from hfring.interval import Interval
 from hfring.piecewise import Domain
 
-from conftest import make_oscillation_pair, make_step_pair
+from conftest import DATA_DIR, make_oscillation_pair, make_step_pair
 
 
 def F(v):
@@ -132,15 +132,14 @@ def _insert_breakpoint(f, x):
     points, pieces = [], []
     for i, piece in enumerate(f.pieces):
         if _scan_piece_at(f, x) is piece:
-            v_lo = ex.eval_finite(piece.lower, x)
-            v_hi = v_lo if piece.is_real else ex.eval_finite(piece.upper, x)
+            v_lo = ex.evaluator(piece.lower.expr)(x)
+            v_hi = v_lo if piece.is_real else ex.evaluator(piece.upper.expr)(x)
             env_lo = pw.EndEnvelope(v_lo, v_lo)
             env_hi = env_lo if piece.is_real else pw.EndEnvelope(v_hi, v_hi)
+            lower, upper = piece.lower, piece.upper
             pieces += [
-                pw.Piece(piece.lo, x, piece.lower, piece.upper,
-                         piece.lower_left, env_lo, piece.upper_left, env_hi),
-                pw.Piece(x, piece.hi, piece.lower, piece.upper,
-                         env_lo, piece.lower_right, env_hi, piece.upper_right),
+                pw.Piece(piece.lo, x, lower._replace(right=env_lo), upper._replace(right=env_hi)),
+                pw.Piece(x, piece.hi, lower._replace(left=env_lo), upper._replace(left=env_hi)),
             ]
             points.append(pw.SpecialPoint(x, Interval(min(v_lo, v_hi), max(v_lo, v_hi))))
         else:
@@ -161,8 +160,9 @@ def _normalize_fixpoint(f):
             left, right = pieces[i], pieces[i + 1]
             if pw._removable(point, left, right):
                 pieces[i : i + 2] = [pw.Piece(
-                    left.lo, right.hi, left.lower, left.upper,
-                    left.lower_left, right.lower_right, left.upper_left, right.upper_right,
+                    left.lo, right.hi,
+                    left.lower._replace(right=right.lower.right),
+                    left.upper._replace(right=right.upper.right),
                 )]
                 del points[i]
                 changed = True
@@ -223,6 +223,43 @@ def test_one_pass_normalize_matches_the_fixpoint(seed, mode, free):
         for h in inputs:
             assert pw.normalize(h) == _normalize_fixpoint(h)
         assert pw.normalize(refined) == _normalize_fixpoint(f)
+
+
+def _assert_real_pieces_share_a_record(f):
+    for piece in f.pieces:
+        if piece.is_real:
+            assert piece.lower is piece.upper
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    mode=st.sampled_from(MODES[:2]),
+    kind=st.sampled_from(["h", "s"]),
+    free=st.lists(st.fractions(-1, 1, max_denominator=64).filter(lambda x: -1 < x < 1),
+                  max_size=4),
+)
+def test_real_pieces_hold_one_bound_record(seed, mode, kind, free):
+    with scalars.engine_mode(*mode):
+        make = suite.h_continuous_suite if kind == "h" else suite.s_continuous_suite
+        f, g = make(seed, 2)
+        zero = pw.constant_function(f.domain, 0)
+        outputs = [f, g, pw.refine(f, [F(x) for x in free]), pw.pointwise_neg(f),
+                   pw.pointwise_add(f, g), pw.pointwise_mul(f, zero), baire.fis(f),
+                   baire.fsi(f)]
+        try:
+            outputs.append(pw.pointwise_mul(f, g))
+        except RepresentationError:
+            pass  # the winning bound product changes inside a proper piece
+        outputs += [pw.normalize(h) for h in outputs[2:]]
+        if f.points:
+            value = f.points[0].value
+            outputs.append(pw.declare_envelope(f, f.points[0].x, value.lo, value.hi))
+        for h in outputs:
+            _assert_real_pieces_share_a_record(h)
+        e = ex.parse("x + 1")
+        piece = pw.make_piece(F(-1), F(1), e, ex.parse("1 + x"))
+        assert piece.lower is piece.upper
 
 
 def test_refine_rejects_points_outside_the_domain():
@@ -342,10 +379,10 @@ class TestPointwiseOps:
         f, g = oscillation_pair
         s = pw.pointwise_add(f, g)
         # default combination is the conservative interval sum of envelopes
-        env = s.pieces[0].lower_right
+        env = s.pieces[0].lower.right
         assert env.liminf == -2 and env.limsup == 2
         declared = pw.declare_envelope(s, 0.0, -math.sqrt(2), math.sqrt(2))
-        assert declared.pieces[0].lower_right.limsup == pytest.approx(math.sqrt(2))
+        assert declared.pieces[0].lower.right.limsup == pytest.approx(math.sqrt(2))
 
     def test_evaluated_envelopes_stay_exact(self):
         dom = Domain.of(-1, 1)
@@ -356,7 +393,7 @@ class TestPointwiseOps:
              pw.make_piece(F(0), F(1), ex.parse("1-x"))],
         )
         s = pw.pointwise_add(f, f)
-        env = s.pieces[0].lower_right
+        env = s.pieces[0].lower.right
         assert env.provenance == "evaluated"
         assert env.liminf == env.limsup == 0
 
@@ -584,6 +621,14 @@ class TestValidateEnvelopes:
         failing = [c for c in checks if not c.passed]
         assert failing and any(c.observed_min < -0.9 for c in failing)
 
+    def test_pointwise_sum_checks_each_envelope_once(self, float_mode):
+        # the sum's pieces are real, so each holds one bound record and each
+        # end has one envelope to check
+        loaded = formats.load_defs(f"{DATA_DIR}/oscillation_pair.json")
+        s = pw.pointwise_add(loaded["f"], loaded["g"])
+        checks = pw.validate_envelopes(s)
+        assert [(c.x, c.side) for c in checks] == [(0.0, "right"), (0.0, "left")]
+
 
 class TestNormalizeAndEquality:
     def test_removable_point_pruned(self):
@@ -637,9 +682,10 @@ class TestPieceContinuity:
         rng = random.Random(99)
         for f in suite.h_continuous_suite(11, 10):
             for piece in f.pieces:
-                slope, _ = ex.linear_coeffs(piece.lower)
+                slope, _ = ex.linear_coeffs(piece.lower.expr)
                 for _ in range(20):
                     x = piece.lo + (piece.hi - piece.lo) * Fraction(rng.randint(1, 63), 64)
                     y = piece.lo + (piece.hi - piece.lo) * Fraction(rng.randint(1, 63), 64)
-                    dv = abs(ex.evaluate(piece.lower, x) - ex.evaluate(piece.lower, y))
+                    value_at = ex.evaluator(piece.lower.expr)
+                    dv = abs(value_at(x) - value_at(y))
                     assert dv <= abs(slope) * abs(x - y)
