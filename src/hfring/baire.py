@@ -65,7 +65,10 @@ def _envelope_function(
 
 
 def _bound_piece(p: Piece, lower: bool) -> Piece:
-    """The real-valued piece that keeps one bound record of p."""
+    """The real-valued piece that keeps one bound record of p: p itself
+    when it is real, so that it keeps its compiled evaluators."""
+    if p.lower is p.upper:
+        return p
     bound = p.lower if lower else p.upper
     return Piece(p.lo, p.hi, bound, bound)
 

@@ -30,7 +30,7 @@ class Interval:
     def __post_init__(self):
         check_finite(self.lo)
         check_finite(self.hi)
-        if self.lo > self.hi:
+        if self.lo is not self.hi and self.lo > self.hi:
             raise EngineError(
                 f"inverted interval [{format_scalar(self.lo)}, {format_scalar(self.hi)}]"
             )
@@ -49,7 +49,7 @@ class Interval:
 
     @property
     def is_point(self) -> bool:
-        return self.lo == self.hi
+        return self.lo is self.hi or self.lo == self.hi
 
     def __repr__(self) -> str:
         return f"[{format_scalar(self.lo)}, {format_scalar(self.hi)}]"

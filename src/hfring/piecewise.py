@@ -109,7 +109,7 @@ class EndEnvelope:
     provenance: str = EVALUATED
 
     def __post_init__(self):
-        if self.liminf > self.limsup:
+        if self.liminf is not self.limsup and self.liminf > self.limsup:
             raise EnvelopeError(
                 f"envelope liminf {self.liminf!r} above limsup {self.limsup!r}"
             )
@@ -118,7 +118,7 @@ class EndEnvelope:
 
     @property
     def is_point(self) -> bool:
-        return self.liminf == self.limsup
+        return self.liminf is self.limsup or self.liminf == self.limsup
 
     @property
     def is_exact_limit(self) -> bool:
@@ -203,6 +203,10 @@ class HFunction:
 
     len(pieces) == len(points) + 1 and consecutive boundaries agree; all
     special points are interior to the domain.
+
+    The function is frozen, so `is_H_continuous` keeps its verdict on it,
+    one per (mode, tolerance): each ring operation decides its operands
+    once for the comparison in force.
     """
 
     domain: Domain
@@ -212,12 +216,13 @@ class HFunction:
     def __post_init__(self):
         if len(self.pieces) != len(self.points) + 1:
             raise EngineError("pieces must cover domain minus special points")
-        bounds = [self.domain.lo] + [p.x for p in self.points] + [self.domain.hi]
-        for i in range(1, len(self.points) + 1):
-            if bounds[i - 1] is not None and not bounds[i - 1] < bounds[i]:
+        bounds = [self.domain.lo, *(p.x for p in self.points), self.domain.hi]
+        last = len(bounds) - 2
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            if a is not None and b is not None and not a < b:
+                if i == 0 or i == last:
+                    raise EngineError("special points must be interior to the domain")
                 raise EngineError("special points must be strictly increasing")
-            if bounds[i + 1] is not None and not bounds[i] < bounds[i + 1]:
-                raise EngineError("special points must be interior to the domain")
         for i, piece in enumerate(self.pieces):
             if _bound_ne(piece.lo, bounds[i]) or _bound_ne(piece.hi, bounds[i + 1]):
                 raise EngineError("piece boundaries must chain through the points")
@@ -225,6 +230,11 @@ class HFunction:
     @cached_property
     def breakpoints(self) -> Tuple[Scalar, ...]:
         return tuple(p.x for p in self.points)
+
+    @cached_property
+    def _h_continuous(self) -> dict:
+        """(mode, tolerance) -> verdict of `is_H_continuous`."""
+        return {}
 
     def point_index(self, x: Scalar) -> Optional[int]:
         """Index of the first special point equal to x (`scalar_eq`)."""
@@ -260,9 +270,9 @@ class HFunction:
 
 
 def _bound_ne(a: Optional[Scalar], b: Optional[Scalar]) -> bool:
-    if (a is None) != (b is None):
-        return True
-    return a is not None and a != b
+    if a is b:
+        return False
+    return a is None or b is None or a != b
 
 
 class FunctionSet(dict):
@@ -657,7 +667,7 @@ def _combine_env(
     if a is None or b is None:
         return None
     rank = max(_PROV_RANK[a.provenance], _PROV_RANK[b.provenance])
-    if a.liminf == a.limsup and b.liminf == b.limsup:
+    if a.is_point and b.is_point:
         # the box would be a point; two point estimates rank as estimated,
         # so the table alone gives the provenance
         v = check_finite(op(a.liminf, b.liminf))
@@ -821,7 +831,16 @@ def is_S_continuous(f: HFunction) -> bool:
 
 def is_H_continuous(f: HFunction) -> bool:
     """Hausdorff continuity on this representation: pieces are point-valued
-    and each special-point value equals its punctured completion."""
+    and each special-point value equals its punctured completion.  Decided
+    once per function, mode and tolerance."""
+    key = (get_mode(), get_tolerance())
+    verdict = f._h_continuous.get(key)
+    if verdict is None:
+        verdict = f._h_continuous[key] = _decide_h_continuous(f)
+    return verdict
+
+
+def _decide_h_continuous(f: HFunction) -> bool:
     if not all(p.is_real for p in f.pieces):
         return False
     for i in range(len(f.points)):
@@ -944,12 +963,15 @@ def _check_envelope(bound, at, side, env, piece, eps) -> EnvelopeCheck:
     sign = to_scalar(1) if side == "+" else to_scalar(-1)
     ratio = 10 ** (-1.0 / _ENVELOPE_SAMPLES_PER_DECADE)
     value_at = ex.evaluator(bound)
+    # a float offset is already a finite float scalar; rational mode reads
+    # it with decimal semantics
+    rational = get_mode() == RATIONAL
     observed: List[Scalar] = []
     offset = float(base)
     total = _ENVELOPE_SAMPLES_PER_DECADE * _ENVELOPE_DECADES
     for _ in range(total):
         offset *= ratio
-        x = at + sign * to_scalar(offset)
+        x = at + sign * (to_scalar(offset) if rational else offset)
         try:
             observed.append(value_at(x))
         except ExprEvalError:
@@ -1011,8 +1033,15 @@ def _removable(point: SpecialPoint, left: Piece, right: Piece) -> bool:
     if any(e is None or not e.is_exact_limit or e.provenance != EVALUATED
            or not scalar_eq(e.liminf, v) for e in envs):
         return False
-    return (ex.exact_equal(left.lower.expr, right.lower.expr)
-            and ex.exact_equal(left.upper.expr, right.upper.expr))
+    if not ex.exact_equal(left.lower.expr, right.lower.expr):
+        return False
+    return _shares_records(left, right) or ex.exact_equal(left.upper.expr, right.upper.expr)
+
+
+def _shares_records(a: Piece, b: Piece) -> bool:
+    """Both pieces hold one record as both bounds, so the upper expressions
+    compare as the lower ones did."""
+    return a.lower is a.upper and b.lower is b.upper
 
 
 def piece_expr_equal(a: ex.Expr, b: ex.Expr, lo, hi, tag="eq") -> bool:
@@ -1048,7 +1077,9 @@ def func_equal(f: HFunction, g: HFunction) -> bool:
     for a, b in zip(f.pieces, g.pieces):
         if not piece_expr_equal(a.lower.expr, b.lower.expr, a.lo, a.hi):
             return False
-        if not piece_expr_equal(a.upper.expr, b.upper.expr, a.lo, a.hi):
+        if not _shares_records(a, b) and not piece_expr_equal(
+            a.upper.expr, b.upper.expr, a.lo, a.hi
+        ):
             return False
     return True
 

@@ -10,6 +10,14 @@ inside one computation; callers switch with `set_mode` or the
 Float mode performs no directed rounding: endpoints are computed with
 ordinary nearest rounding, so results are set-theoretic values up to the
 comparison tolerance, not rigorous enclosures.
+
+No scalar is ever NaN or infinite: `to_scalar`, `check_finite` and the
+checked evaluator reject non-finite values.  So an object always equals
+itself, in both modes and under `scalar_eq`, and ``x > x`` is false.  The
+equality tests of the engine (`scalar_eq` here, the point tests of
+intervals and envelopes, the boundary checks of functions) therefore test
+identity first: a breakpoint or a point value compared with the very
+object it was built from is decided without arithmetic.
 """
 
 from __future__ import annotations
@@ -128,6 +136,8 @@ def check_finite(value: Scalar) -> Scalar:
 
 def scalar_eq(a: Scalar, b: Scalar) -> bool:
     """Equality test: exact for rationals, within tolerance for floats."""
+    if a is b:
+        return True
     if _mode == RATIONAL:
         return a == b
     return abs(a - b) <= _tolerance

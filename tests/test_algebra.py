@@ -79,6 +79,22 @@ class TestRingOps:
         with pytest.raises(NotHausdorffContinuous):
             algebra.oplus_def1(spike, f)
 
+    def test_operand_continuity_is_decided_once(self, step_pair, monkeypatch):
+        f, g = step_pair
+        decided = []
+        punctured = pw.punctured_completion_at
+
+        def counted(h, i):
+            decided.append(h)
+            return punctured(h, i)
+
+        monkeypatch.setattr(pw, "punctured_completion_at", counted)
+        first = algebra.oplus_def1(f, g).result
+        assert any(h is f for h in decided) and any(h is g for h in decided)
+        decided.clear()
+        assert pw.func_equal(algebra.oplus_def1(f, g).result, first)
+        assert not any(h is f or h is g for h in decided)
+
     def test_continuous_operands_reduce_to_pointwise(self):
         dom = Domain.of(-1, 1)
         a = pw.hfunction(dom, [], [pw.make_piece(F(-1), F(1), ex.parse("2*x"))])

@@ -153,6 +153,29 @@ def test_closed_form_is_the_composition(seed, mode, kind, combine):
         _assert_closed_form_matches(f)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    mode=st.sampled_from([(scalars.RATIONAL, None), (scalars.FLOAT, 1e-9)]),
+    kind=st.sampled_from(["h", "s"]),
+    combine=st.sampled_from(["none", "add"]),
+)
+def test_closed_form_keeps_real_pieces(seed, mode, kind, combine):
+    # a real piece keeps its own object, and with it its compiled
+    # evaluators, wherever normalize merged nothing into it
+    with scalars.engine_mode(*mode):
+        make = suite.h_continuous_suite if kind == "h" else suite.s_continuous_suite
+        f, g = make(seed, 2)
+        if combine == "add":
+            f = pw.pointwise_add(f, g)
+        real = {(p.lo, p.hi): p for p in f.pieces if p.lower is p.upper}
+        for completed in (baire.fis(f), baire.fsi(f)):
+            kept = [q for q in completed.pieces if (q.lo, q.hi) in real]
+            assert all(q is real[q.lo, q.hi] for q in kept)
+            if len(completed.pieces) == len(f.pieces):
+                assert len(kept) == len(real)
+
+
 def test_closed_form_prunes_where_the_composition_does(float_mode):
     # both sides of the sum are 1 + x, but the evaluated limits at 1/10 are
     # 1.1 from the left and 1.0999999999999999 from the right: within the

@@ -373,7 +373,16 @@ def test_parser_is_built_once_and_keeps_no_declarations(monkeypatch):
      "3118a81b2113c503081d4d5cb89bbae48effad0409a908351df1b2bceb0d0ef3"),
     (["op", STEP, "f + g", "--check-all"],
      "370efe11a1c91f6bacd88a7cb78f500a28b0349410b52dfebf83097fbececf69"),
-], ids=["float-validate", "verify-ring", "op-times", "op-plus"])
-def test_reference_outputs(argv, digest):
-    out = run_cli(*argv).stdout
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    # the step pair's domain is unbounded, so the window is given
+    (["grid-converge", STEP, "f * g", "--h", "1/8", "1/16", "1/32",
+      "--x0", "-1", "--width", "2"],
+     "ecb77e2f06ba10943f786d945bef48525fcb275af9b236c25b244aa037fd3813"),
+    # the digest of the CSV written to OUT, not of stdout
+    (["sample", STEP, "f", "--", "-7/8", "1/16", "29", "OUT"],
+     "6c349436063a71c308a314669937c3a517af2834f767ed7dee59efd4ad939e3d"),
+], ids=["float-validate", "verify-ring", "op-times", "op-plus", "grid-converge", "sample"])
+def test_reference_outputs(argv, digest, tmp_path):
+    out_file = tmp_path / "out.csv"
+    out = run_cli(*[str(out_file) if arg == "OUT" else arg for arg in argv]).stdout
+    data = out_file.read_bytes() if "OUT" in argv else out.encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == digest

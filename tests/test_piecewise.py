@@ -10,7 +10,13 @@ from hfring import expr as ex
 from hfring import interval as iv
 from hfring import piecewise as pw
 from hfring import algebra, baire, formats, scalars, suite
-from hfring.errors import DomainError, NumericRangeError, PieceError, RepresentationError
+from hfring.errors import (
+    DomainError,
+    EngineError,
+    NumericRangeError,
+    PieceError,
+    RepresentationError,
+)
 from hfring.interval import Interval
 from hfring.piecewise import Domain
 
@@ -260,6 +266,29 @@ def test_real_pieces_hold_one_bound_record(seed, mode, kind, free):
         e = ex.parse("x + 1")
         piece = pw.make_piece(F(-1), F(1), e, ex.parse("1 + x"))
         assert piece.lower is piece.upper
+
+
+def _chained(domain, xs):
+    """HFunction with special points ``xs`` in the given order and constant
+    pieces chained through them."""
+    ends = [domain.lo, *xs, domain.hi]
+    pieces = [pw.make_piece(a, b, ex.parse("0")) for a, b in zip(ends, ends[1:])]
+    return pw.HFunction(domain, tuple(pw.SpecialPoint(x, Interval.of(0)) for x in xs),
+                        tuple(pieces))
+
+
+def test_points_at_or_beyond_a_domain_end_are_not_interior():
+    dom = Domain.of(-1, 1)
+    for xs in ([F(-1)], [F(-2), F(0)], [F(0), F(1)], [F(0), F(3)]):
+        with pytest.raises(EngineError, match="interior to the domain"):
+            _chained(dom, xs)
+
+
+def test_interior_points_out_of_order_are_not_increasing():
+    dom = Domain.of(-1, 1)
+    for xs in ([F("1/2"), F("1/4")], [F(0), F(0)], [F("-1/2"), F("1/2"), F(0)]):
+        with pytest.raises(EngineError, match="strictly increasing"):
+            _chained(dom, xs)
 
 
 def test_refine_rejects_points_outside_the_domain():
@@ -562,6 +591,22 @@ class TestContinuityPredicates:
         for f in suite.s_continuous_suite(6, 40):
             assert pw.is_S_continuous(f)
 
+    def test_verdict_follows_mode_and_tolerance(self, float_mode):
+        # the point value is 1e-6 above its punctured completion [0, 1]
+        f = pw.hfunction(
+            Domain.of(-1, 1),
+            [(0.0, Interval(0.0, 1.0 + 1e-6))],
+            [pw.make_piece(-1.0, 0.0, ex.parse("0")),
+             pw.make_piece(0.0, 1.0, ex.parse("1"))],
+        )
+        verdicts = []
+        for tolerance in (1e-3, 1e-9, 1e-3):
+            scalars.set_mode(scalars.FLOAT, tolerance)
+            verdicts.append(pw.is_H_continuous(f))
+        assert verdicts == [True, False, True]
+        scalars.set_mode(scalars.RATIONAL)
+        assert not pw.is_H_continuous(f)
+
 
 class TestCompletionBounds:
     def test_with_and_without_point(self):
@@ -675,6 +720,60 @@ class TestNormalizeAndEquality:
         a = pw.hfunction(dom, [], [pw.make_piece(F("0.1"), F(2), ex.parse("sin(x)*2"))])
         b = pw.hfunction(dom, [], [pw.make_piece(F("0.1"), F(2), ex.parse("2*sin(x)"))])
         assert pw.func_equal(a, b)
+
+    def test_real_pieces_compare_their_expressions_once(self, step_pair, monkeypatch):
+        calls = []
+        exact_equal = ex.exact_equal
+
+        def counted(a, b):
+            calls.append((a, b))
+            return exact_equal(a, b)
+
+        monkeypatch.setattr(ex, "exact_equal", counted)
+        # func_equal: the step's points have width, so normalize compares
+        # nothing, and each pair of real pieces takes one comparison
+        f, _ = step_pair
+        assert pw.func_equal(f, make_step_pair()[0])
+        assert len(calls) == len(f.pieces)
+        # a proper piece still compares both bounds
+        calls.clear()
+        band = pw.constant_function(Domain.of(-1, 1), Interval.of(0, 1))
+        assert pw.func_equal(band, pw.constant_function(Domain.of(-1, 1), Interval.of(0, 1)))
+        assert len(calls) == 2
+        # normalize: one comparison per removable point between real pieces
+        calls.clear()
+        xs = [F("-1/2"), F(0), F("1/2")]
+        ends = [F(-1), *xs, F(1)]
+        g = pw.hfunction(
+            Domain.of(-1, 1),
+            [(x, Interval(2 * x, 2 * x)) for x in xs],
+            [pw.make_piece(a, b, ex.parse("2*x")) for a, b in zip(ends, ends[1:])],
+        )
+        assert not pw.normalize(g).points
+        assert len(calls) == len(xs)
+
+
+def _fresh(x):
+    """An equal scalar that is a different object."""
+    copy = Fraction(x.numerator, x.denominator) if isinstance(x, Fraction) else float(repr(x))
+    assert copy is not x and copy == x
+    return copy
+
+
+@settings(max_examples=200, deadline=None)
+@given(mode=st.sampled_from(MODES), data=st.data())
+def test_identity_decides_as_an_equal_copy_does(mode, data):
+    values = (st.fractions(max_denominator=10**6) if mode[0] == scalars.RATIONAL
+              else st.floats(allow_nan=False, allow_infinity=False))
+    x, y = sorted((data.draw(values), data.draw(values)))
+    with scalars.engine_mode(*mode):
+        assert scalars.scalar_eq(x, x) == scalars.scalar_eq(x, _fresh(x))
+        assert pw._bound_ne(x, x) == pw._bound_ne(x, _fresh(x))
+        assert Interval(x, x).is_point == Interval(x, _fresh(x)).is_point
+        assert pw.EndEnvelope(x, x).is_point == pw.EndEnvelope(x, _fresh(x)).is_point
+        for box in (Interval(x, x), Interval(x, y)):
+            copy = Interval(_fresh(box.lo), _fresh(box.hi))
+            assert iv.interval_eq(box, box) == iv.interval_eq(box, copy)
 
 
 class TestPieceContinuity:
