@@ -98,6 +98,7 @@ class Poly:
 Expr = Union[Const, Var, Poly, Add, Sub, Mul, Div, Neg, Fun]
 
 X = Var()
+_COEFF_FORMS = (Const, Var, Poly)  # the canonical nodes of a polynomial
 
 
 def const(value) -> Const:
@@ -443,7 +444,7 @@ def _trim(coeffs: List[Fraction]) -> List[Fraction]:
 def rational_coeffs(e: Expr) -> Optional[Tuple[List[Fraction], List[Fraction]]]:
     """(numerator, denominator) coefficient lists for a rational function,
     without cancellation; None when the tree contains sin/cos/sqrt."""
-    if isinstance(e, (Const, Var, Poly)):
+    if isinstance(e, _COEFF_FORMS):
         return poly_coeffs(e), [Fraction(1)]
     if isinstance(e, Neg):
         inner = rational_coeffs(e.arg)
@@ -468,18 +469,18 @@ def rational_coeffs(e: Expr) -> Optional[Tuple[List[Fraction], List[Fraction]]]:
 
 
 def _pmul(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
+    # each slot starts at its first product, not at zero, and adds in ascending i
+    out = [a[0] * cb for cb in b]
+    for i, ca in enumerate(a[1:], 1):
+        for j, cb in enumerate(b[:-1]):
             out[i + j] += ca * cb
+        out.append(ca * b[-1])
     return _trim(out)
 
 
 def _padd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
+    out, short = (list(a), b) if len(a) >= len(b) else (list(b), a)
+    for i, c in enumerate(short):
         out[i] += c
     return _trim(out)
 
@@ -643,7 +644,7 @@ def canonical(e: Expr) -> Expr:
     `X` or `Poly`); constant subtrees fold; additive/multiplicative
     identities drop out.  Structural equality of canonical polynomials is
     coefficient equality."""
-    if isinstance(e, (Const, Var, Poly)):
+    if isinstance(e, _COEFF_FORMS):
         return e
     coeffs = poly_coeffs(e)
     if coeffs is not None:
@@ -708,6 +709,8 @@ def _fold(e: Expr) -> Expr:
 
 
 def add(a: Expr, b: Expr) -> Expr:
+    if isinstance(a, _COEFF_FORMS) and isinstance(b, _COEFF_FORMS):
+        return poly_expr(_padd(poly_coeffs(a), poly_coeffs(b)))  # what canonical gives
     return canonical(Add(a, b))
 
 
@@ -716,6 +719,8 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def mul(a: Expr, b: Expr) -> Expr:
+    if isinstance(a, _COEFF_FORMS) and isinstance(b, _COEFF_FORMS):
+        return poly_expr(_pmul(poly_coeffs(a), poly_coeffs(b)))
     return canonical(Mul(a, b))
 
 
@@ -729,7 +734,7 @@ def exact_equal(a: Expr, b: Expr) -> bool:
     ca, cb = canonical(a), canonical(b)
     if ca == cb:
         return True
-    if isinstance(ca, (Const, Var, Poly)) and isinstance(cb, (Const, Var, Poly)):
+    if isinstance(ca, _COEFF_FORMS) and isinstance(cb, _COEFF_FORMS):
         return False  # the coefficient form of a polynomial is unique
     ra, rb = rational_coeffs(ca), rational_coeffs(cb)
     if ra is not None and rb is not None:

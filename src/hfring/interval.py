@@ -64,13 +64,19 @@ class Interval:
         return neg(self)
 
 
+# A point whose ends are one object takes one sum or product.  `Interval`
+# raises NumericRangeError for an end beyond the float range.
 def add(a: Interval, b: Interval) -> Interval:
-    return Interval(check_finite(a.lo + b.lo), check_finite(a.hi + b.hi))
+    lo = a.lo + b.lo
+    return Interval(lo, lo if a.lo is a.hi and b.lo is b.hi else a.hi + b.hi)
 
 
 def mul(a: Interval, b: Interval) -> Interval:
-    products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    return Interval(check_finite(min(products)), check_finite(max(products)))
+    first = a.lo * b.lo
+    if a.lo is a.hi and b.lo is b.hi:
+        return Interval(first, first)
+    products = (first, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return Interval(min(products), max(products))
 
 
 def neg(a: Interval) -> Interval:

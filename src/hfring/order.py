@@ -192,10 +192,12 @@ def infconv_approx(f: HFunction, n: int, direction: str = FROM_BELOW) -> HFuncti
     for k in finite:
         limits = [a * ends[k] + b for a, b in lines[max(k - 1, 0) : k + 1]]
         values[k] = min(limits + [p.value.lo for p in f.points[max(k - 1, 0) : k]])
-    for i, k in zip(finite, finite[1:]):
-        values[k] = min(values[k], values[i] + slope * (ends[k] - ends[i]))
-    for k, i in zip(finite[-2::-1], finite[::-1]):
-        values[k] = min(values[k], values[i] + slope * (ends[i] - ends[k]))
+    gaps = list(zip(finite, finite[1:]))
+    rises = [slope * (ends[k] - ends[i]) for i, k in gaps]  # a cone's rise over each gap
+    for (i, k), rise in zip(gaps, rises):
+        values[k] = min(values[k], values[i] + rise)
+    for (k, i), rise in zip(reversed(gaps), reversed(rises)):
+        values[k] = min(values[k], values[i] + rise)
     points, pieces = [], []
     for j, (a, b) in enumerate(lines):
         u, w = ends[j], ends[j + 1]
@@ -211,15 +213,16 @@ def infconv_approx(f: HFunction, n: int, direction: str = FROM_BELOW) -> HFuncti
             cands.append((a, b))
         if w is not None:
             cands.append((-slope, values[j + 1] + slope * w))
-        if len(cands) == 3:
-            x12, x23 = _crossing(*cands[:2]), _crossing(*cands[1:])
-            if not x12 < x23 or scalar_eq(x12, x23):
-                del cands[1]  # the line never shows, or only within the tolerance
-        bounds = [u, *(_clip(_crossing(p, q), u, w) for p, q in zip(cands, cands[1:])), w]
+        crossings = [_crossing(p, q) for p, q in zip(cands, cands[1:])]
+        if len(crossings) == 2 and (not crossings[0] < crossings[1] or scalar_eq(*crossings)):
+            del cands[1]  # the line never shows, or only within the tolerance
+            crossings = [_crossing(*cands)]
+        bounds = [u, *(_clip(x, u, w) for x in crossings), w]
         for (s, c), lo, hi in zip(cands, bounds, bounds[1:]):
             if lo is None or hi is None or lo < hi:
                 if pieces:
-                    points.append((lo, Interval(s * lo + c, s * lo + c)))
+                    v = s * lo + c
+                    points.append((lo, Interval(v, v)))
                 expr = ex.poly_expr([_as_fraction(c), _as_fraction(s)])
                 pieces.append(pw.make_piece(lo, hi, expr))
     return pw.normalize(pw.hfunction(f.domain, points, pieces, validate=False))
@@ -274,7 +277,8 @@ def _stability_zones(h_a: HFunction, h_b: HFunction):
 
     One walk over the aligned pieces and points, in domain order: a zone
     opens at the first disagreeing element and closes at the last one
-    before an element that agrees.
+    before an element that agrees.  Pieces sharing one record as both
+    bounds compare only their lower expressions, as in `func_equal`.
     """
     a, b = pw.align(h_a, h_b)
     bounds = (a.domain.lo, *a.breakpoints, a.domain.hi)
@@ -283,9 +287,9 @@ def _stability_zones(h_a: HFunction, h_b: HFunction):
     for i, (pa, pb) in enumerate(zip(a.pieces, b.pieces)):
         same_piece = pw.piece_expr_equal(
             pa.lower.expr, pb.lower.expr, pa.lo, pa.hi, tag=("stab-lo", i)
-        ) and pw.piece_expr_equal(
+        ) and (pw._shares_records(pa, pb) or pw.piece_expr_equal(
             pa.upper.expr, pb.upper.expr, pa.lo, pa.hi, tag=("stab-hi", i)
-        )
+        ))
         elements = [(bounds[i], bounds[i + 1], same_piece)]  # (left, right, agrees)
         if i < len(a.points):
             same_point = iv.interval_eq(a.points[i].value, b.points[i].value)

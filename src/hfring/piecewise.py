@@ -330,12 +330,16 @@ class DenseSubsetSpec:
 
 def rational_limit_at(e: ex.Expr, at: Scalar) -> Optional[Scalar]:
     """Exact one-sided limit of a rational expression at a finite point,
-    cancelling removable singularities; None when the value diverges."""
+    cancelling removable singularities; None when the value diverges.  A
+    polynomial in coefficient form takes one exact Horner pass, its value."""
+    a = at if isinstance(at, Fraction) else Fraction(str(at) if isinstance(at, float) else at)
+    if isinstance(e, ex._COEFF_FORMS):
+        value = ex.poly_eval(ex.poly_coeffs(e), a)
+        return value if get_mode() == RATIONAL else float(value)
     rc = ex.rational_coeffs(e)
     if rc is None:
         return None
     num, den = rc
-    a = Fraction(at) if not isinstance(at, float) else Fraction(str(at))
     while ex.poly_eval(den, a) == 0 and ex.poly_eval(num, a) == 0:
         if den == [Fraction(0)] or num == [Fraction(0)]:
             break
@@ -585,17 +589,27 @@ def constant_function(domain: Domain, value) -> HFunction:
 
 def refine(f: HFunction, xs: Iterable[Scalar]) -> HFunction:
     """Split the pieces of f at every x that is not yet a special point,
-    storing the evaluated point value and envelopes there.
+    storing the evaluated point value and envelopes there.  Takes any xs:
+    they are coerced, sorted and checked, then inserted by `_refine_sorted`."""
+    return _refine_sorted(f, sorted(to_scalar(x) for x in xs))
 
-    One pass over the pieces and the sorted ``xs``.  An x that `scalar_eq`
-    matches to an existing point, or to one just inserted, is skipped.
-    """
-    new: List[Scalar] = []
-    for x in sorted(to_scalar(x) for x in xs):
-        if not f.domain.contains(x):
-            raise DomainError(f"{x!r} outside domain {f.domain!r}")
-        if f.point_index(x) is None and not (new and scalar_eq(new[-1], x)):
-            new.append(x)
+
+def _refine_sorted(f: HFunction, xs: Sequence[Scalar]) -> HFunction:
+    """`refine` at sorted scalars: one merge walk over xs and the points of
+    f finds the piece each new x splits, then one pass over the pieces splits
+    them.  An x that `scalar_eq` matches to a point (the one
+    `HFunction.point_index` finds) or to the x inserted just before it is
+    skipped."""
+    if xs and not (f.domain.contains(xs[0]) and f.domain.contains(xs[-1])):
+        x = next(x for x in xs if not f.domain.contains(x))
+        raise DomainError(f"{x!r} outside domain {f.domain!r}")
+    known, i, tol = f.breakpoints, 0, comparison_slack()
+    new: List[Tuple[int, Scalar]] = []  # (index of the piece x lies in, x)
+    for x in xs:
+        while i < len(known) and (known[i] - x < -tol if tol else known[i] < x):
+            i += 1
+        if not (i < len(known) and scalar_eq(known[i], x) or new and scalar_eq(new[-1][1], x)):
+            new.append((i, x))
     if not new:
         return f
     points: List[SpecialPoint] = []
@@ -603,8 +617,8 @@ def refine(f: HFunction, xs: Iterable[Scalar]) -> HFunction:
     j = 0
     for i, original in enumerate(f.pieces):
         piece = original
-        while j < len(new) and (piece.hi is None or new[j] < piece.hi):
-            x = new[j]
+        while j < len(new) and new[j][0] == i:
+            x = new[j][1]
             j += 1
             v_lo, v_hi = original.bound_values(x)
             lower_l, lower_r = _split(piece.lower, v_lo)
@@ -612,7 +626,8 @@ def refine(f: HFunction, xs: Iterable[Scalar]) -> HFunction:
                 (lower_l, lower_r) if piece.is_real else _split(piece.upper, v_hi)
             )
             pieces.append(Piece(piece.lo, x, lower_l, upper_l))
-            points.append(SpecialPoint(x, Interval(min(v_lo, v_hi), max(v_lo, v_hi))))
+            value = Interval(v_lo, v_lo) if v_hi is v_lo else iv.hull(v_lo, v_hi)
+            points.append(SpecialPoint(x, value))
             piece = Piece(x, piece.hi, lower_r, upper_r)
         pieces.append(piece)
         if i < len(f.points):
@@ -629,14 +644,18 @@ def _split(bound: Bound, value: Scalar) -> Tuple[Bound, Bound]:
 def align(f: HFunction, g: HFunction) -> Tuple[HFunction, HFunction]:
     """Refine both functions to the union of their special points.
 
-    In float mode a point within the tolerance of a point of the other
-    function is not inserted.  When the tolerance would merge two
-    neighbouring points of one function into one point of the other, the
-    refinements differ and RepresentationError is raised.
+    Each is refined at the other's points by a merge walk over the two
+    sorted breakpoint tuples (`_refine_sorted`).  In float mode a point
+    within the tolerance of a point of the other function is not inserted.
+    When the tolerance would merge two neighbouring points of one function
+    into one point of the other, the refinements differ and
+    RepresentationError is raised; in rational mode both hold the union.
     """
     if not domain_eq(f.domain, g.domain):
         raise EngineError("operands must share a domain")
-    fa, ga = refine(f, g.breakpoints), refine(g, f.breakpoints)
+    fa, ga = _refine_sorted(f, g.breakpoints), _refine_sorted(g, f.breakpoints)
+    if get_mode() == RATIONAL:
+        return fa, ga
     xs, ys = [p.x for p in fa.points], [p.x for p in ga.points]
     if len(xs) == len(ys) and all(map(scalar_eq, xs, ys)):
         return fa, ga

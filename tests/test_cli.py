@@ -380,7 +380,11 @@ def test_parser_is_built_once_and_keeps_no_declarations(monkeypatch):
     # the digest of the CSV written to OUT, not of stdout
     (["sample", STEP, "f", "--", "-7/8", "1/16", "29", "OUT"],
      "6c349436063a71c308a314669937c3a517af2834f767ed7dee59efd4ad939e3d"),
-], ids=["float-validate", "verify-ring", "op-times", "op-plus", "grid-converge", "sample"])
+    # def3 at the default depth 4096: the per-point table; stdout names OUT
+    (["compare-defs", STEP, "f", "g", "--out-csv", "OUT"],
+     "39d0e70f2e45bc325323578baa83d4d55a419be6a289b048687c06347797fc9a"),
+], ids=["float-validate", "verify-ring", "op-times", "op-plus", "grid-converge", "sample",
+        "compare-defs"])
 def test_reference_outputs(argv, digest, tmp_path):
     out_file = tmp_path / "out.csv"
     out = run_cli(*[str(out_file) if arg == "OUT" else arg for arg in argv]).stdout

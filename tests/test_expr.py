@@ -374,3 +374,56 @@ class TestCompileOnce:
         refined = pw.refine(f, [Fraction(k, 8) for k in range(1, 16)])
         assert len(refined.points) == 15
         assert len(compiled) == 2
+
+
+def _padd_zero_seeded(a, b):
+    """Reference: every slot starts at Fraction(0), as `_padd` did."""
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return ex._trim(out)
+
+
+def _pmul_zero_seeded(a, b):
+    """Reference: every slot starts at Fraction(0), as `_pmul` did."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return ex._trim(out)
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+def _typed_node(e):
+    """An expression node with the type of every scalar it holds."""
+    held = e.coeffs if isinstance(e, ex.Poly) else (e.value,) if isinstance(e, ex.Const) else ()
+    return type(e), e, _typed(held)
+
+
+_coefficient_lists = st.lists(_fractions, min_size=1, max_size=5)
+_coefficient_forms = _coefficient_lists.map(ex.poly_expr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_coefficient_lists, b=_coefficient_lists,
+       mode=st.sampled_from([scalars.RATIONAL, scalars.FLOAT]))
+def test_coefficient_sums_and_products_need_no_zero(a, b, mode):
+    with scalars.engine_mode(mode):
+        assert _typed(ex._padd(a, b)) == _typed(_padd_zero_seeded(a, b))
+        assert _typed(ex._pmul(a, b)) == _typed(_pmul_zero_seeded(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_coefficient_forms, b=_coefficient_forms,
+       mode=st.sampled_from([scalars.RATIONAL, scalars.FLOAT]))
+def test_coefficient_form_add_and_mul_are_the_tree_route(a, b, mode):
+    # both operands are Const, X or Poly: `add`/`mul` build the node from
+    # the coefficients instead of canonicalising a new Add or Mul tree
+    with scalars.engine_mode(mode):
+        assert _typed_node(ex.add(a, b)) == _typed_node(ex.canonical(ex.Add(a, b)))
+        assert _typed_node(ex.mul(a, b)) == _typed_node(ex.canonical(ex.Mul(a, b)))

@@ -146,3 +146,53 @@ def test_hypothesis_outer_ops_are_ranges(alo, ahi, blo, bhi):
         y = b.lo + (b.hi - b.lo) * t
         assert total.lo <= x + y <= total.hi
         assert prod.lo <= x * y <= prod.hi
+
+
+def _add_checked(a, b):
+    """Reference: the sum with each end checked before `Interval` checks it."""
+    return Interval(scalars.check_finite(a.lo + b.lo), scalars.check_finite(a.hi + b.hi))
+
+
+def _mul_checked(a, b):
+    """Reference: the four products, each end checked before `Interval`."""
+    products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return Interval(scalars.check_finite(min(products)), scalars.check_finite(max(products)))
+
+
+def _typed_outcome(fn, *args):
+    """The ends with their types and reprs (-0.0 is not 0.0), or the error."""
+    try:
+        r = fn(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    return [(type(v), repr(v)) for v in (r.lo, r.hi)]
+
+
+_float_ends = st.one_of(
+    st.sampled_from([1e308, -1e308, 1e200, 0.0, -0.0, 1.5]),
+    st.floats(-1e3, 1e3),
+)
+
+
+@given(mode=st.sampled_from([scalars.RATIONAL, scalars.FLOAT]), data=st.data())
+def test_point_operands_take_one_sum_or_product(mode, data):
+    ends = finite_fracs if mode == scalars.RATIONAL else _float_ends
+
+    def operand():
+        lo, hi = sorted(data.draw(st.lists(ends, min_size=2, max_size=2)))
+        shape = data.draw(st.sampled_from(["point", "equal ends", "proper"]))
+        if shape == "point":
+            return Interval(lo, lo)  # one object at both ends
+        if shape == "equal ends":
+            return Interval(lo, lo * 1)  # equal ends, maybe two objects
+        return Interval(lo, hi)
+
+    with scalars.engine_mode(mode):
+        a, b = operand(), operand()
+        for fn, reference in ((iv.add, _add_checked), (iv.mul, _mul_checked)):
+            # the ends, their types and a float overflow's NumericRangeError
+            outcome = _typed_outcome(fn, a, b)
+            assert outcome == _typed_outcome(reference, a, b)
+            if a.lo is a.hi and b.lo is b.hi and isinstance(outcome, list):
+                result = fn(a, b)
+                assert result.lo is result.hi  # one sum or one product

@@ -511,6 +511,21 @@ def _flag_scan_zones(h_a, h_b):
     return zones
 
 
+def test_zone_walk_compares_a_shared_record_once(monkeypatch):
+    f, g = suite.h_continuous_suite(11, 2)
+    proper = pw.hfunction(Domain.of(-1, 1), [], [
+        pw.make_piece(F(-1), F(1), ex.parse("x"), ex.parse("x + 1"))])
+    compare, calls = pw.piece_expr_equal, []
+    monkeypatch.setattr(pw, "piece_expr_equal",
+                        lambda *args, **kw: calls.append(args) or compare(*args, **kw))
+    # real pieces hold one record as both bounds: the lower expressions
+    # decide; a proper piece whose lower expressions agree compares both
+    for a, b, expected in ((f, g, None), (f, f, None), (proper, proper, 2)):
+        calls.clear()
+        order._stability_zones(a, b)
+        assert len(calls) == (expected or len(pw.align(a, b)[0].pieces))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 10**6),

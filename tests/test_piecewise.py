@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hfring import expr as ex
 from hfring import interval as iv
@@ -296,6 +296,9 @@ def test_refine_rejects_points_outside_the_domain():
     outside = pw.DenseSubsetSpec.excluding(0, 1)
     with pytest.raises(DomainError):
         pw.refine(f, [F(0), F(2)])
+    # the first point outside in sorted order is named, not the last one
+    with pytest.raises(DomainError, match=r"^Fraction\(2, 1\) outside"):
+        pw.refine(f, [F(3), F(0), F(2)])
     for operator in (baire.lower_baire, baire.upper_baire, baire.graph_completion,
                      algebra.extend):
         with pytest.raises(DomainError):
@@ -338,6 +341,99 @@ class TestRationalLimit:
     def test_pole_has_no_limit(self):
         assert pw.rational_limit_at(ex.parse("(x+1)/((x-1)*(x-1))"), F(1)) is None
         assert pw.rational_limit_at(ex.parse("sin(x)"), F(0)) is None
+
+
+def _rational_limit_reference(e, at):
+    """Reference: the rational-function route `rational_limit_at` took for
+    every expression before polynomials got their own path."""
+    num, den = ex.rational_coeffs(e)
+    a = Fraction(at) if not isinstance(at, float) else Fraction(str(at))
+    while ex.poly_eval(den, a) == 0 and ex.poly_eval(num, a) == 0:
+        if den == [Fraction(0)] or num == [Fraction(0)]:
+            break
+        num, _ = ex._poly_divmod(num, [-a, Fraction(1)])
+        den, _ = ex._poly_divmod(den, [-a, Fraction(1)])
+    dval = ex.poly_eval(den, a)
+    if dval == 0:
+        return None
+    value = ex.poly_eval(num, a) / dval
+    return value if scalars.get_mode() == scalars.RATIONAL else float(value)
+
+
+_small_fractions = st.fractions(-9, 9, max_denominator=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    coeffs=st.lists(_small_fractions, min_size=1, max_size=5),
+    mode=st.sampled_from([scalars.RATIONAL, scalars.FLOAT]),
+    data=st.data(),
+)
+def test_polynomial_limit_is_the_rational_route(coeffs, mode, data):
+    e = ex.poly_expr(coeffs)  # Const, X or Poly
+    points = _small_fractions if mode == scalars.RATIONAL else st.floats(-9, 9)
+    at = data.draw(points)
+    with scalars.engine_mode(mode):
+        limit, expected = pw.rational_limit_at(e, at), _rational_limit_reference(e, at)
+    assert (type(limit), limit) == (type(expected), expected)
+
+
+def _align_reference(f, g):
+    """Reference: `align` as it was before the merge walk, each operand
+    refined one point at a time (`_insert_breakpoint`, which
+    `test_refine_matches_per_point_insertion` ties to `refine`)."""
+    if not pw.domain_eq(f.domain, g.domain):
+        raise EngineError("operands must share a domain")
+    fa, ga = f, g
+    for x in g.breakpoints:
+        fa = _insert_breakpoint(fa, x)
+    for x in f.breakpoints:
+        ga = _insert_breakpoint(ga, x)
+    xs, ys = [p.x for p in fa.points], [p.x for p in ga.points]
+    if len(xs) == len(ys) and all(map(scalars.scalar_eq, xs, ys)):
+        return fa, ga
+    for a, b in ((xs, ys), (ys, xs)):
+        for p, q in zip(a, a[1:]):
+            if any(scalars.scalar_eq(p, r) and scalars.scalar_eq(q, r) for r in b):
+                raise RepresentationError(
+                    f"tolerance {scalars.get_tolerance()} merges the breakpoints {p!r} "
+                    f"and {q!r} into one point; the operands cannot be aligned"
+                )
+    raise RepresentationError(
+        f"tolerance {scalars.get_tolerance()} aligns the operands to different breakpoints"
+    )
+
+
+def _aligned_or_message(align, f, g):
+    try:
+        return align(f, g)
+    except RepresentationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    mode=st.sampled_from(MODES),
+    near=st.lists(st.tuples(st.integers(0, 7), st.integers(-3, 3)), max_size=6),
+    free=st.lists(st.fractions(-1, 1, max_denominator=64).filter(lambda x: -1 < x < 1),
+                  max_size=6),
+)
+# at a tolerance of 0.2 this pair merges 5/8 and 7/8 of the first function
+# into 3/4 of the second (`test_tolerance_merging_two_breakpoints_rejected`)
+@example(seed=0, mode=MODES[2], near=[], free=[])
+def test_align_is_per_point_refinement(seed, mode, near, free):
+    with scalars.engine_mode(*mode):
+        step = scalars.get_tolerance() / 2 if mode[0] == scalars.FLOAT else Fraction(1, 1024)
+        f, g = suite.h_continuous_suite(seed, 2)
+        # points of g at (k = 0), beside or between points of f
+        g = pw.refine(g, [x for x in _refine_points(f, near, free, step)
+                          if f.domain.contains(x)])
+        for a, b in ((f, g), (g, f), (f, f)):
+            aligned = _aligned_or_message(pw.align, a, b)
+            assert aligned == _aligned_or_message(_align_reference, a, b)
+            if mode[0] == scalars.RATIONAL:
+                assert not isinstance(aligned, str)
 
 
 class TestAlign:
