@@ -51,7 +51,7 @@ from .errors import (
 )
 from .interval import Interval
 from .piecewise import HFunction
-from .scalars import Scalar, comparison_slack, scalar_eq, to_scalar
+from .scalars import Scalar, comparison_slack, get_mode, get_tolerance, scalar_eq, to_scalar
 
 FROM_BELOW = "from_below"
 FROM_ABOVE = "from_above"
@@ -542,12 +542,21 @@ def _regularizing_offset(f: HFunction) -> int:
 
 
 def from_below_sequence(f: HFunction) -> FunctionSequence:
+    """Increasing approximants `infconv_approx(f, n + offset)`, the offset
+    clearing the slopes of unbounded pieces.  Element n is memoized on f by
+    (mode, tolerance, n) for as long as f lives, so every def3 sum and
+    product of f builds it once."""
     offset = _regularizing_offset(f)
-    return FunctionSequence(
-        lambda n: infconv_approx(f, n + offset, FROM_BELOW),
-        "increasing",
-        "inf-convolution from below",
-    )
+    memo = f._approximants
+
+    def element(n: int) -> HFunction:
+        key = (get_mode(), get_tolerance(), n)
+        approximant = memo.get(key)
+        if approximant is None:
+            approximant = memo[key] = infconv_approx(f, n + offset, FROM_BELOW)
+        return approximant
+
+    return FunctionSequence(element, "increasing", "inf-convolution from below")
 
 
 def def3_from_sequences(

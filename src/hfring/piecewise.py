@@ -206,7 +206,10 @@ class HFunction:
 
     The function is frozen, so `is_H_continuous` keeps its verdict on it,
     one per (mode, tolerance): each ring operation decides its operands
-    once for the comparison in force.
+    once for the comparison in force.  `order.from_below_sequence` keeps
+    the operand's inf-convolution approximants on it the same way, one per
+    (mode, tolerance, n), so every def3 operation on the function shares
+    them.
     """
 
     domain: Domain
@@ -234,6 +237,11 @@ class HFunction:
     @cached_property
     def _h_continuous(self) -> dict:
         """(mode, tolerance) -> verdict of `is_H_continuous`."""
+        return {}
+
+    @cached_property
+    def _approximants(self) -> dict:
+        """(mode, tolerance, n) -> element n of `order.from_below_sequence`."""
         return {}
 
     def point_index(self, x: Scalar) -> Optional[int]:
@@ -354,17 +362,18 @@ def rational_limit_at(e: ex.Expr, at: Scalar) -> Optional[Scalar]:
 
 def one_sided_envelope(
     e: ex.Expr,
-    at: Optional[Scalar],
+    lo: Optional[Scalar],
+    hi: Optional[Scalar],
     side: str,
-    reach: Scalar,
 ) -> Optional[EndEnvelope]:
-    """Envelope of ``e`` approaching ``at`` from inside the piece.
+    """Envelope of ``e`` approaching an end of the piece (lo, hi) from inside.
 
-    ``side`` is "-" when the piece lies left of the end and "+" when it lies
-    right.  ``reach`` bounds how far into the piece sampling may step.  An
-    exact limit gives an evaluated envelope; otherwise geometric sampling
-    gives an estimated one.  Returns None for a diverging infinite end.
+    ``side`` is "+" for the left end ``lo`` and "-" for the right end ``hi``.
+    An exact limit gives an evaluated envelope; otherwise geometric sampling,
+    stepping at most half the piece's length into it, gives an estimated
+    one.  Returns None for a diverging infinite end.
     """
+    at = lo if side == "+" else hi
     if at is None:
         return _envelope_at_infinity(e, side)
     limit = rational_limit_at(e, at)
@@ -378,7 +387,7 @@ def one_sided_envelope(
         return EndEnvelope(value, value, EVALUATED)
     except ExprEvalError:
         pass
-    samples = _approach_samples(value_at, at, side, reach)
+    samples = _approach_samples(value_at, at, side, _reach(lo, hi))
     if not samples:
         return None
     return EndEnvelope(min(samples), max(samples), ESTIMATED)
@@ -389,7 +398,7 @@ _APPROACH_STEPS = 48  # halvings of the step towards the end
 
 def _approach_samples(value_at: Callable[[Scalar], Scalar], at: Scalar, side: str, reach: Scalar):
     sign = -1 if side == "-" else 1
-    base = min(to_scalar(1), reach / 2) if reach is not None else to_scalar(1)
+    base = min(to_scalar(1), reach / 2)
     out = []
     step = base
     for _ in range(_APPROACH_STEPS):
@@ -458,13 +467,11 @@ def make_piece(
     bounds are equal holds one `Bound` record as both, so ``declared_upper``
     raises EnvelopeError there.
     """
-    reach = _reach(lo, hi)
-
     def bound(e: ex.Expr, left_declared, right_declared) -> Bound:
         return Bound(
             e,
-            left_declared or one_sided_envelope(e, lo, "+", reach),
-            right_declared or one_sided_envelope(e, hi, "-", reach),
+            left_declared or one_sided_envelope(e, lo, hi, "+"),
+            right_declared or one_sided_envelope(e, lo, hi, "-"),
         )
 
     declared = (_declared_env(declared_left), _declared_env(declared_right))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hfring import algebra, baire, order
+from hfring import algebra, baire, formats, order
 from hfring import expr as ex
 from hfring import interval as iv
 from hfring import piecewise as pw
@@ -292,6 +293,74 @@ class TestDef3:
         for f, g in zip(functions[::2], functions[1::2]):
             for op in (order.oplus_def3, order.otimes_def3):
                 assert op(f, g, depth=4096).max_deviation == 0
+
+    def test_approximants_are_built_once(self, monkeypatch):
+        built = []
+        infconv = order.infconv_approx
+
+        def counted(f, n, direction=order.FROM_BELOW):
+            built.append(f)
+            return infconv(f, n, direction)
+
+        monkeypatch.setattr(order, "infconv_approx", counted)
+        f, g = suite.h_continuous_suite(71, 2, Domain.of(-1, 1))
+        sums, products = order.oplus_def3(f, g), order.otimes_def3(f, g)
+        assert len(built) == 8  # four depths for each operand, shared by both ops
+        built.clear()
+        assert pw.func_equal(order.oplus_def3(f, g).result, sums.result)
+        assert pw.func_equal(order.otimes_def3(f, g).result, products.result)
+        assert built == []
+        fresh_f, fresh_g = suite.h_continuous_suite(71, 2, Domain.of(-1, 1))
+        assert pw.func_equal(order.oplus_def3(fresh_f, fresh_g).result, sums.result)
+        assert pw.func_equal(order.otimes_def3(fresh_f, fresh_g).result, products.result)
+        h, fresh_h = (suite.h_continuous_suite(72, 1, Domain.of(-1, 1))[0] for _ in "ab")
+        built.clear()
+        square = order.otimes_def3(h, h).result
+        assert len(built) == 4 and all(a is h for a in built)
+        assert pw.func_equal(square, order.otimes_def3(fresh_h, fresh_h).result)
+
+    def test_failing_operands_fail_again(self):
+        # both operands jump at -1/2: the shared-jump product does not stabilize
+        f, g = (formats.hfunction_from_json({
+            "domain": [-1, 1],
+            "pieces": [{"on": [-1, "-1/2"], "lower": left},
+                       {"on": ["-1/2", 1], "lower": right}],
+            "points": [{"x": "-1/2", "value": value}],
+        }) for left, right, value in (("-5/2 + x", "5/2 + x", [-3, 2]),
+                                      ("-1 + x", "3/2", ["-3/2", "3/2"])))
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ConvergenceError) as caught:
+                order.otimes_def3(f, g)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_memo_follows_mode_and_tolerance(self, reverse):
+        f = suite.h_continuous_suite(76, 1, Domain.of(-1, 1))[0]
+        configs = [(scalars.RATIONAL, None), (scalars.FLOAT, 1e-9), (scalars.FLOAT, 0.2)]
+        seen = set()
+        for mode, tolerance in reversed(configs) if reverse else configs:
+            with scalars.engine_mode(mode, tolerance):
+                seq = order.from_below_sequence(f)
+                for n in (1, 4096):
+                    fresh = order.infconv_approx(f, n + order._regularizing_offset(f))
+                    assert repr(seq.element(n)) == repr(fresh)
+                    seen.add(repr(fresh))
+        assert len(seen) == 6  # each setting gives its own approximants
+
+    def test_suite_answers_are_pinned(self):
+        # reprs of 50 reports: the result, its def1 witness and the deviation
+        functions = suite.h_continuous_suite(1414, 26, Domain.of(-1, 1), max_jumps=4)
+        parts = []
+        for f, g in zip(functions, functions[1:]):
+            for op in (order.oplus_def3, order.otimes_def3):
+                try:
+                    parts.append(repr(op(f, g, depth=4096)))
+                except Exception as exc:
+                    parts.append(repr(exc))
+        digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+        assert digest == "20a475c9fad030274daa3a79da2a29e161ec5231aa182240a4443ed02c9aa7b9"
 
 
 

@@ -342,6 +342,14 @@ class TestRationalLimit:
         assert pw.rational_limit_at(ex.parse("(x+1)/((x-1)*(x-1))"), F(1)) is None
         assert pw.rational_limit_at(ex.parse("sin(x)"), F(0)) is None
 
+    def test_estimated_envelope_steps_within_half_the_piece(self, float_mode):
+        # sin(1/x) has no limit at 0: the envelope is the hull of the samples
+        # at 2**-k times half the piece's length, k = 17..48
+        piece = pw.make_piece(0.0, 0.25, ex.parse("sin(1/x)"))
+        samples = [math.sin(1 / (0.125 / 2**k)) for k in range(17, 49)]
+        env = piece.lower.left
+        assert env == pw.EndEnvelope(min(samples), max(samples), pw.ESTIMATED)
+
 
 def _rational_limit_reference(e, at):
     """Reference: the rational-function route `rational_limit_at` took for
