@@ -58,9 +58,7 @@ from .expr import parse as parse_piece
 from .expr import to_text as piece_to_text
 from .interval import Interval, distance, hull, interval_eq, leq, modulus, subset, width
 from .order import (
-    FunctionSequence,
     LimitResult,
-    OrderLimitWitness,
     func_leq,
     infconv_approx,
     mixture,
@@ -68,7 +66,6 @@ from .order import (
     order_limit_monotone,
     order_limit_stabilized,
     otimes_def3,
-    verify_cauchy,
 )
 from .piecewise import (
     DenseSubsetSpec,

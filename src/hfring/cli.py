@@ -219,12 +219,9 @@ def _binary_op(tree, f, g, declared, args) -> HFunction:
         routes["def2"] = op(f, g, declared).result
     if 3 in wanted:
         if not (f.is_piecewise_linear and g.is_piecewise_linear):
-            if args.check_all:
-                wanted.discard(3)
-            else:
-                raise NotPiecewiseLinear(
-                    "--def 3 needs piecewise-linear operands"
-                )
+            # --check-all skips def3 where it does not apply, unless def3 was asked for
+            if args.definition == 3:
+                raise NotPiecewiseLinear("--def 3 needs piecewise-linear operands")
         else:
             if declared:
                 raise _CliError(
@@ -241,7 +238,7 @@ def _binary_op(tree, f, g, declared, args) -> HFunction:
                 EXIT_FAILED,
                 f"{name} deviates from {names[0]} by {deviation} (tol {args.tol})",
             )
-    return routes[f"def{args.definition}"] if f"def{args.definition}" in routes else reference
+    return routes[f"def{args.definition}"]
 
 
 def cmd_eval(args) -> int:

@@ -9,13 +9,20 @@ piecewise-linear operand a forward and a backward pass over the knots
 in the 1-D distance transform of Felzenszwalb and Huttenlocher; on each
 piece it is the lower envelope of at most three lines.
 
+A sequence is a plain callable n -> HFunction, n >= 1.  The def3 route
+assumes no monotonicity and compares its limit with the completion route
+instead.
+
 Order limits are taken by *structure stabilization*: elements at depths
 N, 2N, 4N and 8N are compared pairwise; regions where the representation
 has stopped changing supply the limit's pieces, while the shrinking
 disagreement zones are extrapolated to their collapse points (zone bounds
 of regularized piecewise-linear functions move along p + c/(n-k)
 trajectories, whose limit three doubling samples determine exactly) and
-the limit's values there are recovered by graph completion.  For
+the limit's values there are recovered by graph completion.  The elements
+and the limit's pieces are real-valued, so `baire.fis` completes the limit
+of an increasing and of a decreasing sequence alike: on such a function
+`fis` and `fsi` agree.  For
 inf-convolution sequences of piecewise-linear functions the whole
 procedure is exact in rational mode and takes no samples.  The reported
 residual is the width of the widest disagreement zone between the two
@@ -35,7 +42,7 @@ other pieces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -112,49 +119,17 @@ def _sampled_leq(ea, eb, lo, hi) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Function sequences
+# Function sequences: callables n -> HFunction, n >= 1
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FunctionSequence:
-    """Rule producing the n-th element (n >= 1), with a monotonicity tag."""
-
-    generator: Callable[[int], HFunction]
-    monotonicity: str = "none"  # increasing | decreasing | none
-    description: str = ""
-    _cache: Dict[int, HFunction] = field(default_factory=dict, repr=False)
-
-    def element(self, n: int) -> HFunction:
-        if n < 1:
-            raise EngineError("sequence indices start at 1")
-        if n not in self._cache:
-            self._cache[n] = self.generator(n)
-        return self._cache[n]
-
-    def spot_check_monotone(self, depth: int = 4) -> bool:
-        """Verify the declared tag on consecutive elements up to depth."""
-        if self.monotonicity == "none":
-            return True
-        for n in range(1, depth):
-            a, b = self.element(n), self.element(n + 1)
-            ok = func_leq(a, b) if self.monotonicity == "increasing" else func_leq(b, a)
-            if not ok:
-                return False
-        return True
-
-
-def mixture(seq_a: FunctionSequence, seq_b: FunctionSequence) -> FunctionSequence:
+def mixture(
+    seq_a: Callable[[int], HFunction], seq_b: Callable[[int], HFunction]
+) -> Callable[[int], HFunction]:
     """Interleave two sequences: elements a1, b1, a2, b2, ...  Used by the
     well-definedness check: mixtures of sequences with a common limit keep
     that limit."""
-    return FunctionSequence(
-        generator=lambda n: (
-            seq_a.element((n + 1) // 2) if n % 2 else seq_b.element(n // 2)
-        ),
-        monotonicity="none",
-        description=f"mixture({seq_a.description}, {seq_b.description})",
-    )
+    return lambda n: seq_a((n + 1) // 2) if n % 2 else seq_b(n // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +227,6 @@ def _as_fraction(v: Scalar) -> Fraction:
 
 
 @dataclass(frozen=True)
-class OrderLimitWitness:
-    """Increasing and decreasing sequences squeezing the limit."""
-
-    alpha: FunctionSequence
-    beta: FunctionSequence
-    limit: HFunction
-
-
-@dataclass(frozen=True)
 class LimitResult:
     """The order limit and how it was found.  ``residual`` is the width of
     the widest zone where the elements at depths 4N and 8N still disagree:
@@ -268,7 +234,6 @@ class LimitResult:
 
     limit: HFunction
     residual: Scalar
-    witness: Optional[OrderLimitWitness]
     collapse_points: Tuple[Scalar, ...]
 
 
@@ -369,23 +334,26 @@ def _collapse_points(scans, depth: int) -> List[Tuple[Scalar, Tuple[Scalar, Scal
     return merged
 
 
-def order_limit_stabilized(seq: FunctionSequence, depth: int) -> LimitResult:
-    """Order limit via structure stabilization plus graph completion.
+def order_limit_stabilized(seq: Callable[[int], HFunction], depth: int) -> LimitResult:
+    """Order limit of the sequence ``seq`` (a callable n -> HFunction) via
+    structure stabilization plus graph completion.
 
-    Monotonicity is not used; callers wanting the monotone contract use
-    `order_limit_monotone`.
+    Asks ``seq`` once for each of the depths N, 2N, 4N and 8N.  Monotonicity
+    is not used.  The completion is `baire.fis`: the elements, and so the
+    limit's pieces, are real-valued, and on such a function `fis` and
+    `fsi` both give the hull of the one-sided limits at each point, so an
+    increasing and a decreasing sequence need the same completion.
     """
-    e2 = seq.element(2 * depth)
-    e4 = seq.element(4 * depth)
-    e8 = seq.element(8 * depth)
+    e2 = seq(2 * depth)
+    e4 = seq(4 * depth)
+    e8 = seq(8 * depth)
     scans = (
-        _stability_zones(seq.element(depth), e2),
+        _stability_zones(seq(depth), e2),
         _stability_zones(e2, e4),
         _stability_zones(e4, e8),
     )
-    completion = baire.fsi if seq.monotonicity == "decreasing" else baire.fis
     if not scans[2]:
-        return LimitResult(completion(e8), to_scalar(0), None, ())
+        return LimitResult(baire.fis(e8), to_scalar(0), ())
     if not scans[0] or not scans[1]:
         raise ConvergenceError("sequence oscillates: disagreement reappears at depth")
     collapses = _collapse_points(scans, depth)
@@ -414,12 +382,12 @@ def order_limit_stabilized(seq: FunctionSequence, depth: int) -> LimitResult:
         if not is_collapse:
             points.append((x, value))
             continue
-        # placeholder: fis/fsi give the same value for any point value inside
+        # placeholder: fis gives the same value for any point value inside
         # the hull of the abutting envelopes, and the left lower limit is one
         points.append((x, Interval.point(pieces[i].lower.right.liminf)))
     phi = pw.hfunction(e8.domain, points, pieces, validate=False)
     residual = max(r - l for l, r in scans[2])
-    return LimitResult(completion(phi), residual, None, tuple(collapse_xs))
+    return LimitResult(baire.fis(phi), residual, tuple(collapse_xs))
 
 
 def _stable_probe(u: Optional[Scalar], w: Optional[Scalar], spans) -> Scalar:
@@ -437,94 +405,13 @@ def _stable_probe(u: Optional[Scalar], w: Optional[Scalar], spans) -> Scalar:
     return a + (b - a) / 2
 
 
-_SPOT_DEPTH = 3  # leading consecutive pairs whose monotonicity is checked
-
-
-def order_limit_monotone(seq: FunctionSequence, depth: int = 64) -> LimitResult:
-    """Order limit of a monotone sequence, with a squeezing witness.
-
-    The limit itself is computed by stabilization; monotonicity is verified
-    on the first ``_SPOT_DEPTH`` consecutive pairs plus the depth pair.
-    """
-    if seq.monotonicity not in ("increasing", "decreasing"):
-        raise EngineError("order_limit_monotone needs a monotone-tagged sequence")
-    if not seq.spot_check_monotone(_SPOT_DEPTH):
-        raise EngineError(f"sequence is not {seq.monotonicity} on its first elements")
-    a, b = seq.element(depth), seq.element(2 * depth)
-    ordered = (a, b) if seq.monotonicity == "increasing" else (b, a)
-    if not func_leq(*ordered):
-        raise EngineError(f"sequence is not {seq.monotonicity} at the working depth")
-    result = order_limit_stabilized(seq, depth)
-    limit = result.limit
-    sign = 1 if seq.monotonicity == "increasing" else -1
-
-    def shifted(n: int) -> HFunction:
-        offset = pw.constant_function(limit.domain, Interval.point(Fraction(sign, n)))
-        return pw.pointwise_add(limit, offset)
-
-    squeezing = FunctionSequence(
-        shifted, "decreasing" if sign > 0 else "increasing", "limit +/- 1/n"
-    )
-    if seq.monotonicity == "increasing":
-        witness = OrderLimitWitness(alpha=seq, beta=squeezing, limit=limit)
-    else:
-        witness = OrderLimitWitness(alpha=squeezing, beta=seq, limit=limit)
-    return LimitResult(limit, result.residual, witness, result.collapse_points)
-
-
-# ---------------------------------------------------------------------------
-# Cauchy verification
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CauchyReport:
-    passed: bool
-    first_violation: Optional[str]
-    beta_residual: float
-
-
-def verify_cauchy(
-    seq: FunctionSequence,
-    beta: FunctionSequence,
-    depth: int,
-    tol: float = 1e-3,
-) -> CauchyReport:
-    """Check the order-Cauchy witness: every increment f_m - f_k with
-    m, k >= n is dominated by beta_n, and beta approaches zero.
-
-    Ring subtraction (via the additive inverse) is used for the increments.
-    ``beta_residual`` is the sup of |beta_depth| over the domain, special
-    points included (`max_deviation` from 0).  Report-only; a failing
-    witness does not prove the sequence non-Cauchy.
-    """
-    if not beta.spot_check_monotone(min(depth, 4)) or beta.monotonicity != "decreasing":
-        return CauchyReport(False, "beta is not a decreasing sequence", math.inf)
-    diffs: Dict[Tuple[int, int], HFunction] = {}
-    for m in range(1, depth + 1):
-        for k in range(1, depth + 1):
-            if m == k:
-                continue
-            diffs[(m, k)] = algebra.oplus_def1(
-                seq.element(m), algebra.additive_inverse(seq.element(k))
-            ).result
-    violation = None
-    for n in range(1, depth + 1):
-        bound = beta.element(n)
-        for (m, k), diff in diffs.items():
-            if m < n or k < n:
-                continue
-            if not func_leq(diff, bound):
-                violation = f"f_{m} - f_{k} exceeds beta_{n}"
-                break
-        if violation:
-            break
-    last = beta.element(depth)
-    residual = float(max_deviation(last, pw.constant_function(last.domain, 0)))
-    passed = violation is None and residual <= tol
-    if violation is None and residual > tol:
-        violation = f"inf beta_n stays {residual} away from zero at depth {depth}"
-    return CauchyReport(passed, violation, residual)
+def order_limit_monotone(seq: Callable[[int], HFunction], depth: int = 64) -> LimitResult:
+    """`order_limit_stabilized` of an increasing sequence ``seq`` (a callable
+    n -> HFunction), after checking that element ``depth`` lies below
+    element ``2 * depth``; raises EngineError when it does not."""
+    if not func_leq(seq(depth), seq(2 * depth)):
+        raise EngineError("sequence is not increasing at the working depth")
+    return order_limit_stabilized(seq, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -541,42 +428,41 @@ def _regularizing_offset(f: HFunction) -> int:
     return worst
 
 
-def from_below_sequence(f: HFunction) -> FunctionSequence:
-    """Increasing approximants `infconv_approx(f, n + offset)`, the offset
-    clearing the slopes of unbounded pieces.  Element n is memoized on f by
-    (mode, tolerance, n) for as long as f lives, so every def3 sum and
-    product of f builds it once."""
+def from_below_sequence(f: HFunction) -> Callable[[int], HFunction]:
+    """The increasing sequence n -> `infconv_approx(f, n + offset)`, n >= 1,
+    as a callable; the offset clears the slopes of unbounded pieces.
+    Element n is memoized on f by (mode, tolerance, n) for as long as f
+    lives, so every def3 sum and product of f builds it once."""
     offset = _regularizing_offset(f)
     memo = f._approximants
 
     def element(n: int) -> HFunction:
+        if n < 1:
+            raise EngineError("sequence indices start at 1")
         key = (get_mode(), get_tolerance(), n)
         approximant = memo.get(key)
         if approximant is None:
             approximant = memo[key] = infconv_approx(f, n + offset, FROM_BELOW)
         return approximant
 
-    return FunctionSequence(element, "increasing", "inf-convolution from below")
+    return element
 
 
 def def3_from_sequences(
-    seq_f: FunctionSequence,
-    seq_g: FunctionSequence,
+    seq_f: Callable[[int], HFunction],
+    seq_g: Callable[[int], HFunction],
     op: str,
     depth: int,
 ) -> LimitResult:
-    """Order limit of (f_n op g_n) for user-supplied approximating
-    sequences: the pointwise operation on the elements, stabilized and
-    completed by `order_limit_stabilized`.  No monotonicity is assumed or
-    checked; `_def3` compares the limit with the completion route instead."""
+    """Order limit of n -> f_n op g_n for user-supplied approximating
+    sequences (callables n -> HFunction): the pointwise operation on the
+    elements, stabilized and completed by `order_limit_stabilized`, which
+    asks for each element once.  No monotonicity is assumed or checked;
+    `_def3` compares the limit with the completion route instead."""
     if op not in ("plus", "times"):
         raise EngineError(f"unknown op {op!r}")
-
-    def element(n: int) -> HFunction:
-        combine = pw.pointwise_add if op == "plus" else pw.pointwise_mul
-        return combine(seq_f.element(n), seq_g.element(n))
-
-    return order_limit_stabilized(FunctionSequence(element), depth)
+    combine = pw.pointwise_add if op == "plus" else pw.pointwise_mul
+    return order_limit_stabilized(lambda n: combine(seq_f(n), seq_g(n)), depth)
 
 
 def _def3(f: HFunction, g: HFunction, op: str, depth: int) -> algebra.OpReport:

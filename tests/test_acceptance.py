@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  Criteria 1, 3-8 run in
 exact rational mode; criterion 2 runs in float mode with the 1e-9
-comparison tolerance.  Every tolerance is pinned here.
+comparison tolerance.  Every tolerance is pinned here.  The tests after
+the criteria check the paper's claims route by route, without PASS lines.
 """
 
 import math
@@ -281,3 +282,56 @@ def test_criterion_8_grid_convergence(ring_suite):
         f"median halving ratio {float(overall):.3f} in [0.4, 0.65] over "
         f"{len(medians)} expressions",
     )
+
+
+# The paper's claims route by route: the ring axioms and the extension of
+# the operations of C(Omega), under the extension and order-limit routes too.
+
+
+def test_ring_axioms_under_the_extension_route(ring_suite):
+    result = algebra.verify_ring(
+        ring_suite[:60],
+        add_op=lambda a, b: algebra.oplus_def2(a, b).result,
+        mul_op=lambda a, b: algebra.otimes_def2(a, b).result,
+    )
+    assert result.all_passed, [n for n, a in result.axioms.items() if not a.passed]
+
+
+def test_additive_axioms_under_the_order_limit_route(ring_suite):
+    # products leave the piecewise-linear subclass, on which alone the route
+    # is defined: of the product axioms only commutativity is checkable
+    functions = ring_suite[:20]
+    zero = pw.constant_function(functions[0].domain, 0)
+
+    def add(a, b):
+        return order.oplus_def3(a, b).result
+
+    def mul(a, b):
+        return order.otimes_def3(a, b).result
+
+    n = len(functions)
+    for i, f in enumerate(functions):
+        g, h = functions[(7 * i + 1) % n], functions[(13 * i + 2) % n]
+        fg = add(f, g)
+        assert pw.func_equal(fg, add(g, f)), i
+        assert pw.func_equal(add(fg, h), add(f, add(g, h))), i
+        assert pw.func_equal(add(f, zero), pw.normalize(f)), i
+        assert pw.func_equal(add(f, algebra.additive_inverse(f)), zero), i
+        assert pw.func_equal(mul(f, g), mul(g, f)), i
+
+
+def test_operations_extend_the_continuous_ones(ring_suite):
+    # lines, and continuous functions with kinks: slope-3 approximants
+    functions = suite.h_continuous_suite(SEED, 20, Domain.of(-1, 1), max_jumps=0)
+    functions += [order.infconv_approx(f, 3) for f in ring_suite[:20]]
+    one = pw.constant_function(functions[0].domain, 1)
+    routes = [
+        (algebra.oplus_def1, algebra.otimes_def1),
+        (algebra.oplus_def2, algebra.otimes_def2),
+        (order.oplus_def3, order.otimes_def3),
+    ]
+    for f, g in zip(functions, functions[1:]):
+        for add, mul in routes:
+            assert pw.func_equal(add(f, g).result, pw.pointwise_add(f, g))
+            assert pw.func_equal(mul(f, g).result, pw.pointwise_mul(f, g))
+            assert pw.func_equal(mul(f, one).result, pw.normalize(f))

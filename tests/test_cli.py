@@ -145,6 +145,9 @@ class TestOp:
 
     def test_def3_on_transcendental_exit_6(self):
         run_cli("--mode", "float", "op", OSC, "f + g", "--def", "3", expect=6)
+        # --check-all skips def3 on such operands only when another route is asked for
+        run_cli("--mode", "float", "op", OSC, "f + g", "--def", "3", "--check-all", expect=6)
+        run_cli("--mode", "float", "op", OSC, "f + g", "--def", "1", "--check-all")
 
     def test_op_output_feeds_eval(self, tmp_path):
         root2 = "1.4142135623730951"

@@ -6,14 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hfring import algebra, baire, formats, order
+from hfring import baire, formats, order
 from hfring import expr as ex
 from hfring import interval as iv
 from hfring import piecewise as pw
 from hfring import scalars, suite
 from hfring.errors import ConvergenceError, EngineError, NotPiecewiseLinear
 from hfring.interval import Interval
-from hfring.order import FunctionSequence
 from hfring.piecewise import Domain
 
 
@@ -126,117 +125,45 @@ class TestOrderLimit:
         assert pw.func_equal(result.limit, f)
         # the elements at depths 64 and 128 ramp up on (0, 1/64) and (0, 1/128)
         assert result.residual == Fraction(1, 64)
-        witness = result.witness
-        assert witness is not None
-        for n in (1, 2, 5):
-            assert order.func_leq(witness.alpha.element(n), witness.limit)
-            assert order.func_leq(witness.limit, witness.beta.element(n))
 
     def test_constant_sequence(self):
         f = pw.constant_function(Domain.of(-1, 1), 4)
-        seq = FunctionSequence(lambda n: f, "increasing")
-        result = order.order_limit_monotone(seq, depth=8)
+        result = order.order_limit_monotone(lambda n: f, depth=8)
         assert pw.func_equal(result.limit, f)
 
     def test_drifting_constants_float_mode(self, float_mode):
         dom = Domain.of(-1, 1)
-        seq = FunctionSequence(
-            lambda n: pw.constant_function(dom, 1.0 - 2.0 ** (-n)), "increasing"
+        result = order.order_limit_monotone(
+            lambda n: pw.constant_function(dom, 1.0 - 2.0 ** (-n)), depth=40
         )
-        result = order.order_limit_monotone(seq, depth=40)
         assert pw.func_equal(result.limit, pw.constant_function(dom, 1.0))
 
     def test_drifting_constants_rational_mode_rejected(self):
         dom = Domain.of(-1, 1)
-        seq = FunctionSequence(
-            lambda n: pw.constant_function(dom, 1 - Fraction(1, 2**n)), "increasing"
-        )
         with pytest.raises(ConvergenceError):
-            order.order_limit_monotone(seq, depth=8)
-
-    def test_monotone_tag_required(self, step_pair):
-        f, _ = step_pair
-        seq = FunctionSequence(lambda n: f, "none")
-        with pytest.raises(EngineError):
-            order.order_limit_monotone(seq, depth=4)
+            order.order_limit_monotone(
+                lambda n: pw.constant_function(dom, 1 - Fraction(1, 2**n)), depth=8
+            )
 
     def test_wrong_tag_detected(self):
+        # order_limit_monotone takes the sequence to be increasing; 1/n is not
         dom = Domain.of(-1, 1)
-        seq = FunctionSequence(
-            lambda n: pw.constant_function(dom, Fraction(1, n)), "increasing"
-        )
-        with pytest.raises(EngineError):
-            order.order_limit_monotone(seq, depth=4)
+        with pytest.raises(EngineError, match="not increasing"):
+            order.order_limit_monotone(
+                lambda n: pw.constant_function(dom, Fraction(1, n)), depth=4
+            )
 
     def test_decreasing_limit(self, step_pair):
         f, _ = step_pair
-        seq = FunctionSequence(
-            lambda n: order.infconv_approx(f, n, order.FROM_ABOVE), "decreasing"
+        result = order.order_limit_stabilized(
+            lambda n: order.infconv_approx(f, n, order.FROM_ABOVE), depth=16
         )
-        result = order.order_limit_monotone(seq, depth=16)
         assert pw.func_equal(result.limit, f)
 
-
-class TestCauchy:
-    def test_infconv_sequence_with_explicit_witness(self, step_pair):
+    def test_indices_start_at_one(self, step_pair):
         f, _ = step_pair
-        seq = order.from_below_sequence(f)
-        # the n-th approximant differs from the bound by at most the jump, and
-        # increments are dominated by the gap of the n-th element
-        upper = order.infconv_approx(f, 1, order.FROM_ABOVE)
-
-        def beta(n):
-            gap = algebra.oplus_def1(
-                order.infconv_approx(f, n, order.FROM_ABOVE),
-                algebra.additive_inverse(order.infconv_approx(f, n)),
-            ).result
-            return gap
-
-        witness = FunctionSequence(beta, "decreasing")
-        report = order.verify_cauchy(seq, witness, depth=4, tol=2.0)
-        assert report.passed, report.first_violation
-
-    def test_constant_sequence_with_1_over_n(self):
-        dom = Domain.of(-1, 1)
-        seq = FunctionSequence(lambda n: pw.constant_function(dom, 5), "increasing")
-        beta = FunctionSequence(
-            lambda n: pw.constant_function(dom, Fraction(1, n)), "decreasing"
-        )
-        report = order.verify_cauchy(seq, beta, depth=6, tol=0.2)
-        assert report.passed
-
-    def test_beta_residual_is_the_exact_sup(self):
-        # beta_n is a tent of height 1/n whose apex is a special point: the
-        # sup of |beta_n| is reached there and nowhere inside a piece
-        dom = Domain.of(-1, 1)
-
-        def tent(n):
-            h = Fraction(1, n)
-            return pw.hfunction(dom, [(F(0), Interval.of(h, h))], [
-                pw.make_piece(F(-1), F(0), ex.poly_expr([h, h])),
-                pw.make_piece(F(0), F(1), ex.poly_expr([h, -h])),
-            ])
-
-        seq = FunctionSequence(lambda n: pw.constant_function(dom, 5), "increasing")
-        beta = FunctionSequence(tent, "decreasing")
-        report = order.verify_cauchy(seq, beta, depth=4, tol=0.25)
-        assert report.beta_residual == 0.25
-        assert report.passed
-        report = order.verify_cauchy(seq, beta, depth=4, tol=0.2499)
-        assert not report.passed
-        assert "stays 0.25 away" in report.first_violation
-
-    def test_oscillating_sequence_fails(self):
-        dom = Domain.of(-1, 1)
-        seq = FunctionSequence(
-            lambda n: pw.constant_function(dom, 1 if n % 2 else -1), "none"
-        )
-        beta = FunctionSequence(
-            lambda n: pw.constant_function(dom, Fraction(3, 2 * n)), "decreasing"
-        )
-        report = order.verify_cauchy(seq, beta, depth=5, tol=10.0)
-        assert not report.passed
-        assert "exceeds" in report.first_violation
+        with pytest.raises(EngineError, match="start at 1"):
+            order.from_below_sequence(f)(0)
 
 
 class TestDef3:
@@ -265,7 +192,7 @@ class TestDef3:
             raise AssertionError("monotone contract checked")
 
         monkeypatch.setattr(order, "order_limit_monotone", refuse)
-        monkeypatch.setattr(FunctionSequence, "spot_check_monotone", refuse)
+        monkeypatch.setattr(order, "func_leq", refuse)
         f, g = step_pair
         for op in (order.oplus_def3, order.otimes_def3):
             assert op(f, g, depth=32).max_deviation == 0
@@ -345,7 +272,7 @@ class TestDef3:
                 seq = order.from_below_sequence(f)
                 for n in (1, 4096):
                     fresh = order.infconv_approx(f, n + order._regularizing_offset(f))
-                    assert repr(seq.element(n)) == repr(fresh)
+                    assert repr(seq(n)) == repr(fresh)
                     seen.add(repr(fresh))
         assert len(seen) == 6  # each setting gives its own approximants
 
@@ -372,11 +299,14 @@ def test_from_below_sequences_increase(seed, depth):
     # the working depth
     f, g = suite.h_continuous_suite(seed, 2)
     fs, gs = order.from_below_sequence(f), order.from_below_sequence(g)
-    sums = FunctionSequence(lambda n: pw.pointwise_add(fs.element(n), gs.element(n)))
+
+    def sums(n):
+        return pw.pointwise_add(fs(n), gs(n))
+
     for seq in (fs, gs, sums):
         for n in (1, 2, 3):
-            assert order.func_leq(seq.element(n), seq.element(n + 1))
-        assert order.func_leq(seq.element(depth), seq.element(2 * depth))
+            assert order.func_leq(seq(n), seq(n + 1))
+        assert order.func_leq(seq(depth), seq(2 * depth))
 
 
 class TestMixture:
@@ -385,26 +315,30 @@ class TestMixture:
         seq = order.from_below_sequence(f)
         mixed = order.mixture(seq, seq)
         for n in (1, 2, 3, 4):
-            assert pw.func_equal(mixed.element(n), seq.element((n + 1) // 2))
+            assert pw.func_equal(mixed(n), seq((n + 1) // 2))
 
     def test_indexing_alternates(self):
         dom = Domain.of(-1, 1)
-        a = FunctionSequence(lambda n: pw.constant_function(dom, n), "increasing")
-        b = FunctionSequence(lambda n: pw.constant_function(dom, -n), "decreasing")
-        mixed = order.mixture(a, b)
-        assert mixed.element(1).eval_at(0) == Interval.of(1, 1)
-        assert mixed.element(2).eval_at(0) == Interval.of(-1, -1)
-        assert mixed.element(3).eval_at(0) == Interval.of(2, 2)
-        assert mixed.element(4).eval_at(0) == Interval.of(-2, -2)
+        mixed = order.mixture(
+            lambda n: pw.constant_function(dom, n), lambda n: pw.constant_function(dom, -n)
+        )
+        assert mixed(1).eval_at(0) == Interval.of(1, 1)
+        assert mixed(2).eval_at(0) == Interval.of(-1, -1)
+        assert mixed(3).eval_at(0) == Interval.of(2, 2)
+        assert mixed(4).eval_at(0) == Interval.of(-2, -2)
 
     def test_well_definedness_of_order_limit_ops(self, step_pair):
         # interleaving the n-ramp and 2n-ramp approximations changes the
         # approximating sequences but not the resulting operation
         f, g = step_pair
-        fa = order.from_below_sequence(f)
-        fb = FunctionSequence(lambda n: order.infconv_approx(f, 2 * n), "increasing")
-        ga = order.from_below_sequence(g)
-        gb = FunctionSequence(lambda n: order.infconv_approx(g, 2 * n), "increasing")
+        fa, ga = order.from_below_sequence(f), order.from_below_sequence(g)
+
+        def fb(n):
+            return order.infconv_approx(f, 2 * n)
+
+        def gb(n):
+            return order.infconv_approx(g, 2 * n)
+
         base = order.def3_from_sequences(fa, ga, "plus", depth=32).limit
         mixed = order.def3_from_sequences(
             order.mixture(fa, fb), order.mixture(ga, gb), "plus", depth=32
@@ -611,10 +545,9 @@ def test_zone_walk_is_the_flag_scan(seed, n, combine, ends, mode):
         # a pointwise result and its completion differ only at points
         s = combine(f, g)
         pairs = [(f, g), (g, f), (f, f), (s, baire.fis(s))]
-        pairs += [(seq.element(n), seq.element(2 * n)) for seq in (seq_f, seq_g)]
+        pairs += [(seq(n), seq(2 * n)) for seq in (seq_f, seq_g)]
         pairs += [
-            (combine(seq_f.element(k), seq_g.element(k)),
-             combine(seq_f.element(2 * k), seq_g.element(2 * k)))
+            (combine(seq_f(k), seq_g(k)), combine(seq_f(2 * k), seq_g(2 * k)))
             for k in (n, 2 * n)
         ]
         for a, b in pairs:
