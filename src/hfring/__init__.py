@@ -71,7 +71,6 @@ from .piecewise import (
     DenseSubsetSpec,
     Domain,
     EndEnvelope,
-    FunctionSet,
     HFunction,
     Piece,
     SpecialPoint,

@@ -4,8 +4,9 @@ Two equivalent constructions are implemented: completing the pointwise
 interval operation (route 1, computed as F(I(S(.))) and cross-checked
 against F(S(I(.)))), and restricting the pointwise operation to the locus
 where both operands are point-valued, then extending back (route 2).  The
-module also evaluates whole +/x expressions over bound operands and checks
-the commutative-ring axioms over seeded random suites.
+module also evaluates whole +/x expressions over bound operands, by any
+pair of operations (a route's ring operations or the pointwise ones), and
+checks the commutative-ring axioms over seeded random suites.
 """
 
 from __future__ import annotations
@@ -170,6 +171,14 @@ def otimes_def1(f: HFunction, g: HFunction, declared=None) -> OpReport:
     return _op_def1(f, g, pw.pointwise_mul, declared)
 
 
+def _sum_def1(f: HFunction, g: HFunction) -> HFunction:
+    return oplus_def1(f, g).result
+
+
+def _product_def1(f: HFunction, g: HFunction) -> HFunction:
+    return otimes_def1(f, g).result
+
+
 def extend(phi: HFunction, spec: DenseSubsetSpec) -> HFunction:
     """Unique H-continuous extension of a function that is H-continuous off
     the excluded points: graph completion over the punctured dense set."""
@@ -215,18 +224,19 @@ def additive_inverse(f: HFunction) -> HFunction:
 def eval_expr(
     tree: ExprTree,
     bindings: Dict[str, HFunction],
-    mode: str = "ring",
-    check_extension: bool = False,
+    add_op: Callable[[HFunction, HFunction], HFunction] = _sum_def1,
+    mul_op: Callable[[HFunction, HFunction], HFunction] = _product_def1,
 ) -> HFunction:
-    """Evaluate a +/x expression over bound operands.
+    """Evaluate a +/x expression over bound operands by folding ``add_op``
+    and ``mul_op`` over the tree, leaves first.
 
-    mode="pointwise" folds the pointwise interval operations (S-continuous
-    result); mode="ring" folds the ring operations (H-continuous result).
-    With ``check_extension`` the identity between the extension of the
-    pointwise result and the ring result is verified.
+    The default operations are the route-1 ring operations, as in
+    `verify_ring`; `pw.pointwise_add` and `pw.pointwise_mul` fold the
+    pointwise interval operations instead (an S-continuous result).  A leaf
+    is its bound function as given, and an operation's result is whatever
+    the operation returns: every ring route ends in a completion that
+    normalizes.
     """
-    if mode not in ("ring", "pointwise"):
-        raise EngineError(f"unknown evaluation mode {mode!r}")
     for name in operand_names(tree):
         if name not in bindings:
             raise UnboundOperandError(f"operand {name!r} is not bound")
@@ -234,23 +244,10 @@ def eval_expr(
     def fold(node: ExprTree) -> HFunction:
         if isinstance(node, OperandRef):
             return bindings[node.name]
-        left, right = fold(node.left), fold(node.right)
-        if mode == "pointwise":
-            op = pw.pointwise_add if isinstance(node, TreePlus) else pw.pointwise_mul
-            return op(left, right)
-        op = oplus_def1 if isinstance(node, TreePlus) else otimes_def1
-        return op(left, right).result
+        op = add_op if isinstance(node, TreePlus) else mul_op
+        return op(fold(node.left), fold(node.right))
 
-    result = fold(tree)
-    if mode == "ring" and check_extension:
-        used = [bindings[name] for name in operand_names(tree)]
-        pointwise = eval_expr(tree, bindings, mode="pointwise")
-        extended = extend(pointwise, pw.common_point_domain(used))
-        if not pw.func_equal(extended, result):
-            raise InternalConsistencyError(
-                "extension of the pointwise expression disagrees with the ring result"
-            )
-    return pw.normalize(result) if mode == "ring" else result
+    return fold(tree)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +305,8 @@ AXIOMS = (
 
 def verify_ring(
     functions: Sequence[HFunction],
-    add_op: Optional[Callable[[HFunction, HFunction], HFunction]] = None,
-    mul_op: Optional[Callable[[HFunction, HFunction], HFunction]] = None,
+    add_op: Callable[[HFunction, HFunction], HFunction] = _sum_def1,
+    mul_op: Callable[[HFunction, HFunction], HFunction] = _product_def1,
 ) -> RingReport:
     """Check the commutative-ring axioms over a function suite.
 
@@ -317,10 +314,6 @@ def verify_ring(
     default operations are the route-1 ring operations; injecting others
     (e.g. the raw pointwise operations) is how the verification itself is
     smoke-tested."""
-    if add_op is None:
-        add_op = lambda a, b: oplus_def1(a, b).result
-    if mul_op is None:
-        mul_op = lambda a, b: otimes_def1(a, b).result
     suite = list(functions)
     if not suite:
         raise EngineError("empty suite")

@@ -5,9 +5,10 @@ validate.  Input is the function-definition JSON documented in `formats`;
 outputs are JSON reports and x,lo,hi CSV tables.  All randomness flows
 from --seed, so identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 1 check failed or other engine error, 2 parse
-error, 3 unbound name, 4 domain error, 5 operand not Hausdorff continuous,
-6 order-limit route requested outside the piecewise-linear subclass.
+Exit codes: 0 success, 1 check failed (routes that disagree included) or
+other engine error, 2 parse or usage error, 3 unbound name, 4 domain error,
+5 operand not Hausdorff continuous, 6 order-limit route requested outside
+the piecewise-linear subclass.
 Engine errors map to codes through the one table `_EXIT_CODES`.
 """
 
@@ -27,6 +28,7 @@ from .errors import (
     DomainError,
     EngineError,
     ExprSyntaxError,
+    InternalConsistencyError,
     NotHausdorffContinuous,
     NotPiecewiseLinear,
     UnboundOperandError,
@@ -43,8 +45,15 @@ EXIT_DOMAIN = 4
 EXIT_NOT_HCONT = 5
 EXIT_NOT_PL = 6
 
+
+class _UsageError(EngineError):
+    """A command line the engine cannot act on: an unreadable defs file, a
+    malformed number or an option combination that means nothing (exit 2)."""
+
+
 # engine errors reaching `main`, mapped to exit codes; the first match wins
 _EXIT_CODES = (
+    (_UsageError, EXIT_PARSE),
     (ExprSyntaxError, EXIT_PARSE),
     (UnboundOperandError, EXIT_UNBOUND),
     (DomainError, EXIT_DOMAIN),
@@ -154,14 +163,8 @@ def _emit(text: str, target: str) -> None:
 def _load(path: str) -> Dict[str, HFunction]:
     try:
         return formats.load_defs(path)
-    except (OSError, json.JSONDecodeError, ExprSyntaxError, EngineError) as exc:
-        raise _CliError(EXIT_PARSE, f"cannot load {path}: {exc}") from exc
-
-
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    except (OSError, json.JSONDecodeError, EngineError) as exc:
+        raise _UsageError(f"cannot load {path}: {exc}") from exc
 
 
 def _number(text: str, what: str) -> Scalar:
@@ -170,7 +173,7 @@ def _number(text: str, what: str) -> Scalar:
     try:
         return to_scalar(text)
     except EngineError as exc:
-        raise _CliError(EXIT_PARSE, f"bad {what} {text!r}: {exc}") from exc
+        raise _UsageError(f"bad {what} {text!r}: {exc}") from exc
 
 
 def _bound(bindings: Dict[str, HFunction], name: str) -> HFunction:
@@ -190,55 +193,52 @@ def _declared_map(declare_args) -> Optional[dict]:
     }
 
 
+def _route(n: int, args, declared) -> tuple:
+    """Route n's (sum, product) as functions of two operands.  Each call
+    looks the operation up on its module, so a wrapper put there later is
+    the one called."""
+    if n == 3:
+        module, options = order, {"depth": args.depth}
+    else:
+        module, options = algebra, {"declared": declared}
+    return tuple(
+        lambda f, g, name=f"{op}_def{n}": getattr(module, name)(f, g, **options).result
+        for op in ("oplus", "otimes")
+    )
+
+
 def _op_result(args, bindings: Dict[str, HFunction]) -> HFunction:
+    """Fold the expression by the route asked for; with --check-all, also by
+    every other route that applies, and compare the results at the root."""
     tree = algebra.parse_operand_expr(args.expr)
-    for name in algebra.operand_names(tree):
-        _bound(bindings, name)
     declared = _declared_map(args.declare)
-    if isinstance(tree, algebra.OperandRef) and not declared:
-        return algebra.eval_expr(tree, bindings, mode="ring")
-    if isinstance(tree, (algebra.TreePlus, algebra.TreeTimes)) and all(
-        isinstance(child, algebra.OperandRef) for child in (tree.left, tree.right)
+    if declared and not (
+        isinstance(tree, (algebra.TreePlus, algebra.TreeTimes))
+        and all(isinstance(child, algebra.OperandRef) for child in (tree.left, tree.right))
     ):
-        f, g = bindings[tree.left.name], bindings[tree.right.name]
-        return _binary_op(tree, f, g, declared, args)
-    if declared:
-        raise _CliError(EXIT_PARSE, "--declare applies to a single binary operation")
-    return algebra.eval_expr(tree, bindings, mode="ring")
-
-
-def _binary_op(tree, f, g, declared, args) -> HFunction:
-    plus = isinstance(tree, algebra.TreePlus)
-    routes: Dict[str, HFunction] = {}
-    wanted = {1, 2, 3} if args.check_all else {args.definition}
-    if 1 in wanted:
-        op = algebra.oplus_def1 if plus else algebra.otimes_def1
-        routes["def1"] = op(f, g, declared).result
-    if 2 in wanted:
-        op = algebra.oplus_def2 if plus else algebra.otimes_def2
-        routes["def2"] = op(f, g, declared).result
-    if 3 in wanted:
-        if not (f.is_piecewise_linear and g.is_piecewise_linear):
-            # --check-all skips def3 where it does not apply, unless def3 was asked for
-            if args.definition == 3:
-                raise NotPiecewiseLinear("--def 3 needs piecewise-linear operands")
-        else:
-            if declared:
-                raise _CliError(
-                    EXIT_PARSE, "--declare is not meaningful for the order-limit route"
-                )
-            op = order.oplus_def3 if plus else order.otimes_def3
-            routes["def3"] = op(f, g, depth=args.depth).result
-    names = sorted(routes)
-    reference = routes[names[0]]
-    for name in names[1:]:
-        deviation = float(order.max_deviation(routes[name], reference))
+        raise _UsageError("--declare applies to a single binary operation")
+    results: Dict[int, HFunction] = {}
+    for n in (1, 2, 3) if args.check_all else (args.definition,):
+        # --check-all skips def3 where it does not apply, unless def3 was asked for
+        asked = n == args.definition
+        if n == 3 and declared:
+            if asked:
+                raise _UsageError("--declare is not meaningful for the order-limit route")
+            continue
+        try:
+            results[n] = algebra.eval_expr(tree, bindings, *_route(n, args, declared))
+        except NotPiecewiseLinear:
+            if asked:
+                raise
+    first, *others = results
+    for n in others:
+        deviation = float(order.max_deviation(results[n], results[first]))
         if deviation > args.tol:
-            raise _CliError(
-                EXIT_FAILED,
-                f"{name} deviates from {names[0]} by {deviation} (tol {args.tol})",
+            raise InternalConsistencyError(
+                f"def{n} deviates from def{first} by {deviation} (tol {args.tol})"
             )
-    return routes[f"def{args.definition}"]
+    result = results[args.definition]
+    return pw.normalize(result) if isinstance(tree, algebra.OperandRef) else result
 
 
 def cmd_eval(args) -> int:
@@ -286,7 +286,7 @@ def cmd_sample(args) -> int:
 
 def _grid_window(args, result: HFunction):
     if (args.x0 is None) != (args.width is None):
-        raise _CliError(EXIT_PARSE, "--x0 and --width go together")
+        raise _UsageError("--x0 and --width go together")
     if args.x0 is not None:
         return _number(args.x0, "--x0"), _number(args.width, "--width")
     domain = result.domain
@@ -299,8 +299,8 @@ def _grid_window(args, result: HFunction):
 def cmd_grid_converge(args) -> int:
     bindings = _load(args.defs)
     tree = algebra.parse_operand_expr(args.expr)
-    exact = algebra.eval_expr(tree, bindings, mode="ring")
-    pointwise = algebra.eval_expr(tree, bindings, mode="pointwise")
+    exact = algebra.eval_expr(tree, bindings)
+    pointwise = algebra.eval_expr(tree, bindings, pw.pointwise_add, pw.pointwise_mul)
     steps = [_number(h, "--h") for h in args.steps]
     x0, width = _grid_window(args, exact)
     # measurement points stay a fixed margin away from every jump of the
@@ -326,8 +326,6 @@ def cmd_grid_converge(args) -> int:
 def cmd_compare_defs(args) -> int:
     bindings = _load(args.defs)
     f, g = _bound(bindings, args.f), _bound(bindings, args.g)
-    if not (f.is_piecewise_linear and g.is_piecewise_linear):
-        raise NotPiecewiseLinear("compare-defs needs piecewise-linear operands")
     ops = [o.strip() for o in args.ops.split(",") if o.strip()]
     report = {}
     csv_rows: List[List[str]] = [["op", "x", "def3_lo", "def3_hi", "def1_lo", "def1_hi"]]
@@ -337,7 +335,7 @@ def cmd_compare_defs(args) -> int:
         elif op == "times":
             d3 = order.otimes_def3(f, g, depth=args.depth)
         else:
-            raise _CliError(EXIT_PARSE, f"unknown op {op!r} (use plus,times)")
+            raise _UsageError(f"unknown op {op!r} (use plus,times)")
         reference = d3.witnesses["def1"]
         xs = pw.func_sample_points(reference, 256, tag="cmp")
         for x in xs:
@@ -411,9 +409,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except _CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return exc.code
     except EngineError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

@@ -1,13 +1,13 @@
 """Partial order, order convergence, and the order-limit construction of
 the ring operations.
 
-Approximating sequences are realized by slope-n inf-convolution (from
-below) and its reflection (from above): continuous piecewise-linear
-functions, increasing in n, that regularize the lower/upper bound.  For a
-piecewise-linear operand a forward and a backward pass over the knots
-(special points and finite domain ends) give the inf-convolution there, as
-in the 1-D distance transform of Felzenszwalb and Huttenlocher; on each
-piece it is the lower envelope of at most three lines.
+Approximating sequences are realized by slope-n inf-convolution from
+below: continuous piecewise-linear functions, increasing in n, that
+regularize the lower bound.  For a piecewise-linear operand a forward and
+a backward pass over the knots (special points and finite domain ends)
+give the inf-convolution there, as in the 1-D distance transform of
+Felzenszwalb and Huttenlocher; on each piece it is the lower envelope of
+at most three lines.
 
 A sequence is a plain callable n -> HFunction, n >= 1.  The def3 route
 assumes no monotonicity and compares its limit with the completion route
@@ -59,9 +59,6 @@ from .errors import (
 from .interval import Interval
 from .piecewise import HFunction
 from .scalars import Scalar, comparison_slack, get_mode, get_tolerance, scalar_eq, to_scalar
-
-FROM_BELOW = "from_below"
-FROM_ABOVE = "from_above"
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +134,10 @@ def mixture(
 # ---------------------------------------------------------------------------
 
 
-def infconv_approx(f: HFunction, n: int, direction: str = FROM_BELOW) -> HFunction:
-    """Slope-n regularization: from below the n-Lipschitz inf-convolution of
-    the lower bound, from above its reflection on the upper bound.
+def infconv_approx(f: HFunction, n: int) -> HFunction:
+    """Slope-n regularization from below: the n-Lipschitz inf-convolution of
+    the lower bound.  Its reflection ``-infconv_approx(-f, n)`` regularizes
+    the upper bound from above.
 
     Continuous piecewise-linear, monotone in n, converging to the bound off
     the special points.  Requires a piecewise-linear H-continuous operand.
@@ -148,10 +146,6 @@ def infconv_approx(f: HFunction, n: int, direction: str = FROM_BELOW) -> HFuncti
     line is left out where a cone lies below it (slope >= n with a finite
     left end, or <= -n with a finite right end).
     """
-    if direction not in (FROM_BELOW, FROM_ABOVE):
-        raise EngineError(f"unknown direction {direction!r}")
-    if direction == FROM_ABOVE:
-        return pw.pointwise_neg(infconv_approx(pw.pointwise_neg(f), n, FROM_BELOW))
     if not f.is_piecewise_linear:
         raise NotPiecewiseLinear("inf-convolution needs piecewise-linear operands")
     if not pw.is_H_continuous(f):
@@ -442,7 +436,7 @@ def from_below_sequence(f: HFunction) -> Callable[[int], HFunction]:
         key = (get_mode(), get_tolerance(), n)
         approximant = memo.get(key)
         if approximant is None:
-            approximant = memo[key] = infconv_approx(f, n + offset, FROM_BELOW)
+            approximant = memo[key] = infconv_approx(f, n + offset)
         return approximant
 
     return element

@@ -283,27 +283,6 @@ def _bound_ne(a: Optional[Scalar], b: Optional[Scalar]) -> bool:
     return a is None or b is None or a != b
 
 
-class FunctionSet(dict):
-    """Named collection of functions over one common domain.
-
-    A plain mapping str -> HFunction that refuses mixed domains, which is
-    the precondition for aligning and combining its members.
-    """
-
-    def __init__(self, functions):
-        super().__init__(functions)
-        domains = [f.domain for f in self.values()]
-        for d in domains[1:]:
-            if not domain_eq(domains[0], d):
-                raise EngineError("function set members must share a domain")
-
-    @property
-    def domain(self) -> Domain:
-        if not self:
-            raise EngineError("empty function set has no domain")
-        return next(iter(self.values())).domain
-
-
 @dataclass(frozen=True)
 class DenseSubsetSpec:
     """Cofinite dense subset of the domain: everything except ``excluded``."""
@@ -897,11 +876,9 @@ def interval_support(f: HFunction) -> Support:
     return Support(pts, spans)
 
 
-def common_point_domain(fs) -> DenseSubsetSpec:
+def common_point_domain(fs: Iterable[HFunction]) -> DenseSubsetSpec:
     """Domain minus every location where some operand has positive width;
     cofinite (hence dense) because proper values sit at special points."""
-    if isinstance(fs, dict):
-        fs = list(fs.values())
     excluded: List[Scalar] = []
     for f in fs:
         support = interval_support(f)

@@ -164,16 +164,27 @@ class TestAdditiveInverse:
             assert iv.subset(Interval.of(0, 0), r.pointwise.eval_at(F("1/16")))
 
 
+def _ring_fold_checked(text, bindings):
+    """The ring fold of an expression, checked against the extension of its
+    pointwise fold from the operands' common point-valued locus."""
+    tree = algebra.parse_operand_expr(text)
+    ring = algebra.eval_expr(tree, bindings)
+    pointwise = algebra.eval_expr(tree, bindings, pw.pointwise_add, pw.pointwise_mul)
+    used = [bindings[name] for name in algebra.operand_names(tree)]
+    assert pw.func_equal(algebra.extend(pointwise, pw.common_point_domain(used)), ring)
+    return ring
+
+
 class TestExprEvaluation:
     def test_single_leaf(self, step_pair):
         f, _ = step_pair
         tree = algebra.parse_operand_expr("f")
-        assert pw.func_equal(algebra.eval_expr(tree, {"f": f}, mode="ring"), f)
+        assert pw.func_equal(algebra.eval_expr(tree, {"f": f}), f)
 
     def test_unbound_leaf(self):
         tree = algebra.parse_operand_expr("nope")
         with pytest.raises(UnboundOperandError):
-            algebra.eval_expr(tree, {}, mode="ring")
+            algebra.eval_expr(tree, {})
 
     def test_associativity_with_extension_check(self):
         functions = suite.h_continuous_suite(47, 9)
@@ -181,14 +192,8 @@ class TestExprEvaluation:
             bindings = {
                 "a": functions[i], "b": functions[i + 1], "c": functions[i + 2]
             }
-            left = algebra.eval_expr(
-                algebra.parse_operand_expr("(a + b) + c"), bindings,
-                mode="ring", check_extension=True,
-            )
-            right = algebra.eval_expr(
-                algebra.parse_operand_expr("a + (b + c)"), bindings,
-                mode="ring", check_extension=True,
-            )
+            left = _ring_fold_checked("(a + b) + c", bindings)
+            right = _ring_fold_checked("a + (b + c)", bindings)
             assert pw.func_equal(left, right)
 
     def test_distributivity(self):
@@ -197,19 +202,16 @@ class TestExprEvaluation:
             bindings = {
                 "a": functions[i], "b": functions[i + 1], "c": functions[i + 2]
             }
-            left = algebra.eval_expr(
-                algebra.parse_operand_expr("(a + b)*c"), bindings, mode="ring",
-                check_extension=True,
-            )
-            right = algebra.eval_expr(
-                algebra.parse_operand_expr("a*c + b*c"), bindings, mode="ring"
-            )
+            left = _ring_fold_checked("(a + b)*c", bindings)
+            right = algebra.eval_expr(algebra.parse_operand_expr("a*c + b*c"), bindings)
             assert pw.func_equal(left, right)
 
     def test_pointwise_mode_s_continuous(self, step_pair):
         f, g = step_pair
         tree = algebra.parse_operand_expr("(f + g)*f")
-        result = algebra.eval_expr(tree, {"f": f, "g": g}, mode="pointwise")
+        result = algebra.eval_expr(
+            tree, {"f": f, "g": g}, pw.pointwise_add, pw.pointwise_mul
+        )
         assert pw.is_S_continuous(result)
         assert not pw.is_H_continuous(result)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,7 +9,9 @@ import sys
 import pytest
 
 import hfring
-from hfring import algebra, cli
+from hfring import algebra, cli, formats, order, suite
+from hfring import piecewise as pw
+from hfring.piecewise import Domain
 
 from conftest import DATA_DIR
 
@@ -32,6 +35,17 @@ def run_cli(*args, expect: int = 0):
     )
     assert result.returncode == expect, result.stderr or result.stdout
     return result
+
+
+@pytest.fixture
+def suite_defs(tmp_path):
+    """The first three members of the seed-8201 suite on (-1, 1), bound as
+    a, b and c: piecewise-linear, but a product of two of them is not."""
+    functions = suite.h_continuous_suite(8201, 3, Domain.of(-1, 1))
+    body = {name: formats.hfunction_to_json(f) for name, f in zip("abc", functions)}
+    path = tmp_path / "suite.json"
+    path.write_text(formats.dumps_json({"functions": body}))
+    return str(path)
 
 
 def test_samples_flag_removed():
@@ -148,6 +162,43 @@ class TestOp:
         # --check-all skips def3 on such operands only when another route is asked for
         run_cli("--mode", "float", "op", OSC, "f + g", "--def", "3", "--check-all", expect=6)
         run_cli("--mode", "float", "op", OSC, "f + g", "--def", "1", "--check-all")
+
+    def test_def_folds_the_whole_expression(self, suite_defs):
+        # the second product's left operand b * c is quadratic, outside def3's subclass
+        run_cli("op", suite_defs, "b * c * a", "--def", "3", expect=6)
+        checked = run_cli("op", suite_defs, "b * c * a", "--check-all").stdout
+        assert checked == run_cli("op", suite_defs, "b * c * a").stdout
+
+    def test_def3_sums_every_node(self, suite_defs, tmp_path, monkeypatch):
+        calls = []
+        real = order.oplus_def3
+
+        def counted(f, g, depth=4096):
+            calls.append(depth)
+            return real(f, g, depth=depth)
+
+        monkeypatch.setattr(order, "oplus_def3", counted)
+        argv = ["op", suite_defs, "a + b + c", "--def", "3", "--depth", "2048"]
+        assert cli.main(argv + ["-o", str(tmp_path / "r.json")]) == 0
+        assert calls == [2048, 2048]
+
+    def test_check_all_exit_1_when_a_route_disagrees(self, monkeypatch, capsys):
+        real = algebra.oplus_def2
+
+        def shifted(f, g, declared=None):
+            report = real(f, g, declared)
+            one = pw.constant_function(report.result.domain, 1)
+            return dataclasses.replace(report, result=pw.pointwise_add(report.result, one))
+
+        monkeypatch.setattr(algebra, "oplus_def2", shifted)
+        assert cli.main(["op", STEP, "f + g", "--check-all"]) == 1
+        assert "def2 deviates from def1" in capsys.readouterr().err
+
+    def test_check_all_skips_def3_for_a_declared_envelope(self):
+        declare = ["--declare", "0", "0", "0"]
+        plain = run_cli("op", STEP, "f + g", *declare).stdout
+        assert run_cli("op", STEP, "f + g", "--check-all", *declare).stdout == plain
+        run_cli("op", STEP, "f + g", "--def", "3", *declare, expect=2)
 
     def test_op_output_feeds_eval(self, tmp_path):
         root2 = "1.4142135623730951"
@@ -275,6 +326,10 @@ class TestCompareDefs:
         assert data["ops"]["times"]["within_tol"] is True
         header = csv_path.read_text().splitlines()[0]
         assert header == "op,x,def3_lo,def3_hi,def1_lo,def1_hi"
+
+    def test_outside_the_piecewise_linear_subclass_exit_6(self, tmp_path):
+        run_cli("--mode", "float", "compare-defs", OSC, "f", "g",
+                "--out-csv", str(tmp_path / "points.csv"), expect=6)
 
 
 class TestValidate:

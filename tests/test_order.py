@@ -56,6 +56,11 @@ class TestFuncLeq:
         assert not order.func_leq(a, c)  # slopes differ on the whole line
 
 
+def _from_above(f, n):
+    """The reflection of the inf-convolution: the upper bound regularized from above."""
+    return pw.pointwise_neg(order.infconv_approx(pw.pointwise_neg(f), n))
+
+
 class TestInfconv:
     def test_step_ramp_by_hand(self, step_pair):
         f, _ = step_pair
@@ -100,7 +105,7 @@ class TestInfconv:
 
     def test_from_above_dual(self, step_pair):
         f, _ = step_pair
-        m = order.infconv_approx(f, 2, order.FROM_ABOVE)
+        m = _from_above(f, 2)
         assert m.eval_at(-1) == Interval.of(0, 0)
         assert m.eval_at("-1/4") == Interval.of("1/2", "1/2")
         assert m.eval_at("1/4") == Interval.of(1, 1)
@@ -156,7 +161,7 @@ class TestOrderLimit:
     def test_decreasing_limit(self, step_pair):
         f, _ = step_pair
         result = order.order_limit_stabilized(
-            lambda n: order.infconv_approx(f, n, order.FROM_ABOVE), depth=16
+            lambda n: _from_above(f, n), depth=16
         )
         assert pw.func_equal(result.limit, f)
 
@@ -225,9 +230,9 @@ class TestDef3:
         built = []
         infconv = order.infconv_approx
 
-        def counted(f, n, direction=order.FROM_BELOW):
+        def counted(f, n):
             built.append(f)
-            return infconv(f, n, direction)
+            return infconv(f, n)
 
         monkeypatch.setattr(order, "infconv_approx", counted)
         f, g = suite.h_continuous_suite(71, 2, Domain.of(-1, 1))
@@ -423,19 +428,19 @@ _ENDS = {"bounded": (-1, 1), "left": (None, 1), "right": (-1, None), "both": (No
     denominator=st.sampled_from([8, 3, 10]),
     ends=st.sampled_from(sorted(_ENDS)),
     n=st.sampled_from([1, 2, 3, 5, 4096]),
-    direction=st.sampled_from([order.FROM_BELOW, order.FROM_ABOVE]),
+    from_above=st.booleans(),
     mode=st.sampled_from([(scalars.RATIONAL, None), (scalars.FLOAT, 1e-9)]),
     probes=st.lists(st.fractions(-4, 4, max_denominator=64), max_size=8),
 )
-def test_infconv_is_the_brute_force_minimum(seed, denominator, ends, n, direction, mode,
+def test_infconv_is_the_brute_force_minimum(seed, denominator, ends, n, from_above, mode,
                                             probes):
     with scalars.engine_mode(*mode):
         f = suite.random_h_continuous(random.Random(seed), abscissa_denominator=denominator)
         f = _with_domain(f, Domain.of(*_ENDS[ends]))
         # from above is the reflection of from below
-        operand, sign = (f, 1) if direction == order.FROM_BELOW else (pw.pointwise_neg(f), -1)
+        operand, sign = (pw.pointwise_neg(f), -1) if from_above else (f, 1)
         try:
-            m = order.infconv_approx(f, n, direction)
+            m = _from_above(f, n) if from_above else order.infconv_approx(f, n)
         except EngineError:
             first, _ = ex.linear_coeffs(operand.pieces[0].lower.expr)
             last, _ = ex.linear_coeffs(operand.pieces[-1].lower.expr)

@@ -641,26 +641,6 @@ class TestSupport:
             pw.common_point_domain([f])
 
 
-class TestFunctionSet:
-    def test_common_domain_enforced(self, step_pair):
-        f, g = step_pair
-        fs = pw.FunctionSet({"f": f, "g": g})
-        assert pw.common_point_domain(fs).excluded == (F(0),)
-        other = pw.constant_function(Domain.of(-1, 1), 0)
-        with pytest.raises(Exception):
-            pw.FunctionSet({"f": f, "other": other})
-
-    def test_usable_as_bindings(self, step_pair):
-        from hfring import algebra
-
-        f, g = step_pair
-        fs = pw.FunctionSet({"f": f, "g": g})
-        result = algebra.eval_expr(
-            algebra.parse_operand_expr("f + g"), fs, mode="ring"
-        )
-        assert pw.func_equal(result, pw.constant_function(f.domain, 0))
-
-
 class TestContinuityPredicates:
     def test_step_is_h_continuous(self, step_pair):
         f, g = step_pair
