@@ -101,14 +101,21 @@ def parse_operand_expr(text: str) -> ExprTree:
     return node
 
 
+def _postorder(tree: ExprTree) -> List[ExprTree]:
+    """The nodes of ``tree``, each after its operands, the left one first.
+    Iterative, since the parser's left-deep chains outgrow the recursion limit."""
+    nodes, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if not isinstance(node, OperandRef):
+            stack += (node.left, node.right)
+    return nodes[::-1]
+
+
 def operand_names(tree: ExprTree) -> List[str]:
-    if isinstance(tree, OperandRef):
-        return [tree.name]
-    names = operand_names(tree.left)
-    for name in operand_names(tree.right):
-        if name not in names:
-            names.append(name)
-    return names
+    """The names of the tree's leaves, each once, in first-seen order."""
+    return list(dict.fromkeys(n.name for n in _postorder(tree) if isinstance(n, OperandRef)))
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +247,15 @@ def eval_expr(
     for name in operand_names(tree):
         if name not in bindings:
             raise UnboundOperandError(f"operand {name!r} is not bound")
-
-    def fold(node: ExprTree) -> HFunction:
+    values: List[HFunction] = []
+    for node in _postorder(tree):
         if isinstance(node, OperandRef):
-            return bindings[node.name]
-        op = add_op if isinstance(node, TreePlus) else mul_op
-        return op(fold(node.left), fold(node.right))
-
-    return fold(tree)
+            values.append(bindings[node.name])
+        else:
+            right = values.pop()
+            op = add_op if isinstance(node, TreePlus) else mul_op
+            values[-1] = op(values[-1], right)
+    return values[0]
 
 
 # ---------------------------------------------------------------------------

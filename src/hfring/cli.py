@@ -209,7 +209,8 @@ def _route(n: int, args, declared) -> tuple:
 
 def _op_result(args, bindings: Dict[str, HFunction]) -> HFunction:
     """Fold the expression by the route asked for; with --check-all, also by
-    every other route that applies, and compare the results at the root."""
+    every other route that applies, and compare the results at the root
+    (`pw.func_equal`: literal equality in rational mode, --tol in float)."""
     tree = algebra.parse_operand_expr(args.expr)
     declared = _declared_map(args.declare)
     if declared and not (
@@ -232,11 +233,9 @@ def _op_result(args, bindings: Dict[str, HFunction]) -> HFunction:
                 raise
     first, *others = results
     for n in others:
-        deviation = float(order.max_deviation(results[n], results[first]))
-        if deviation > args.tol:
-            raise InternalConsistencyError(
-                f"def{n} deviates from def{first} by {deviation} (tol {args.tol})"
-            )
+        if not pw.func_equal(results[n], results[first]):
+            deviation = float(order.max_deviation(results[n], results[first]))
+            raise InternalConsistencyError(f"def{n} deviates from def{first} by {deviation}")
     result = results[args.definition]
     return pw.normalize(result) if isinstance(tree, algebra.OperandRef) else result
 
@@ -376,7 +375,7 @@ def cmd_validate(args) -> int:
             "s_continuous": pw.is_S_continuous(f),
             "envelopes": [
                 {
-                    "x": _json_or_null(c.x),
+                    "x": formats.scalar_to_json(c.x),
                     "side": c.side,
                     "provenance": c.provenance,
                     "passed": c.passed,

@@ -614,26 +614,6 @@ def count_poly_roots_inside(coeffs: List[Fraction], lo, hi) -> int:
     return max(0, count)
 
 
-def limit_at_infinity(e: Expr, sign: int) -> Optional[Fraction]:
-    """Exact limit of a rational function as x tends to +/- infinity;
-    None when the limit is infinite or the expression is transcendental.
-    Raises ExprEvalError when the denominator is identically zero."""
-    rc = rational_coeffs(e)
-    if rc is None:
-        return None
-    num, den = rc
-    if den == [Fraction(0)]:
-        raise ExprEvalError(f"division by zero in {to_text(e)}")
-    dn, dd = len(num) - 1, len(den) - 1
-    if num == [Fraction(0)]:
-        return Fraction(0)
-    if dn > dd:
-        return None
-    if dn < dd:
-        return Fraction(0)
-    return num[-1] / den[-1]
-
-
 # ---------------------------------------------------------------------------
 # Canonical form and smart constructors
 # ---------------------------------------------------------------------------

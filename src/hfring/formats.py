@@ -27,6 +27,7 @@ record's.  A piece without ``upper``, or with ``upper`` equal to
 the ``envelopes`` too unless ``upper_envelopes`` is present; with it, the
 upper record takes only the ends listed there and computes the others.
 An envelope's ``provenance`` is "declared" (the default) or "estimated".
+Envelopes belong to finite piece ends only: one at "-inf" or "inf" is refused.
 
 The writer stores only envelopes that are declared or estimated, with
 their provenance, and writes ``upper_envelopes`` only for a piece whose

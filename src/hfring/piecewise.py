@@ -128,8 +128,9 @@ class EndEnvelope:
 
 class Bound(NamedTuple):
     """One bound of a piece: its expression and the (liminf, limsup) of that
-    expression at the piece's left and right ends.  An envelope is None only
-    at an infinite end."""
+    expression at the piece's left and right ends.  An infinite end, not a
+    point of the domain, has none; a finite end lacks one only at a pole or
+    where no sample near the end can be evaluated."""
 
     expr: ex.Expr
     left: Optional[EndEnvelope]
@@ -350,11 +351,12 @@ def one_sided_envelope(
     ``side`` is "+" for the left end ``lo`` and "-" for the right end ``hi``.
     An exact limit gives an evaluated envelope; otherwise geometric sampling,
     stepping at most half the piece's length into it, gives an estimated
-    one.  Returns None for a diverging infinite end.
+    one.  Returns None at an infinite end, at a pole, and where no sample
+    can be evaluated.
     """
     at = lo if side == "+" else hi
     if at is None:
-        return _envelope_at_infinity(e, side)
+        return None
     limit = rational_limit_at(e, at)
     if limit is not None:
         return EndEnvelope(limit, limit, EVALUATED)
@@ -390,37 +392,11 @@ def _approach_samples(value_at: Callable[[Scalar], Scalar], at: Scalar, side: st
     return out[skip:] if len(out) > skip else out
 
 
-def _envelope_at_infinity(e: ex.Expr, side: str) -> Optional[EndEnvelope]:
-    limit = ex.limit_at_infinity(e, -1 if side == "-" else 1)
-    if limit is not None:
-        value = limit if get_mode() == RATIONAL else float(limit)
-        return EndEnvelope(value, value, EVALUATED)
-    if ex.rational_coeffs(e) is not None:
-        return None  # polynomial growth, no finite envelope
-    if get_mode() == RATIONAL:
-        return None
-    sign = -1 if side == "-" else 1
-    value_at = ex.evaluator(e)
-    try:
-        value = value_at(sign * float("inf"))
-        return EndEnvelope(value, value, EVALUATED)
-    except (ExprEvalError, OverflowError):
-        pass
-    samples = []
-    for k in range(4, 44):
-        try:
-            samples.append(value_at(sign * float(2**k)))
-        except ExprEvalError:
-            continue
-    if not samples:
-        return None
-    tail = samples[len(samples) // 2 :]
-    return EndEnvelope(min(tail), max(tail), ESTIMATED)
-
-
-def _declared_env(data) -> Optional[EndEnvelope]:
+def _declared_env(data, at: Optional[Scalar]) -> Optional[EndEnvelope]:
     if data is None:
         return None
+    if at is None:
+        raise EnvelopeError("envelope declared at an infinite end of a piece")
     liminf, limsup, *provenance = data
     return EndEnvelope(to_scalar(liminf), to_scalar(limsup), *provenance or [DECLARED])
 
@@ -444,7 +420,8 @@ def make_piece(
     ``declared_upper`` gives the upper bound's own (left, right) data; a
     None there leaves that end of the upper bound computed.  A piece whose
     bounds are equal holds one `Bound` record as both, so ``declared_upper``
-    raises EnvelopeError there.
+    raises EnvelopeError there.  An infinite end takes no envelope, so data
+    declared at one raises EnvelopeError too.
     """
     def bound(e: ex.Expr, left_declared, right_declared) -> Bound:
         return Bound(
@@ -453,7 +430,7 @@ def make_piece(
             right_declared or one_sided_envelope(e, lo, hi, "-"),
         )
 
-    declared = (_declared_env(declared_left), _declared_env(declared_right))
+    declared = (_declared_env(declared_left, lo), _declared_env(declared_right, hi))
     lower_b = bound(ex.canonical(lower), *declared)
     upper_c = lower_b.expr if upper is None else ex.canonical(upper)
     if upper_c == lower_b.expr:
@@ -461,7 +438,7 @@ def make_piece(
             raise EnvelopeError("upper envelopes declared for a piece whose bounds are equal")
         return Piece(lo, hi, lower_b, lower_b)
     if declared_upper is not None:
-        declared = tuple(map(_declared_env, declared_upper))
+        declared = (_declared_env(declared_upper[0], lo), _declared_env(declared_upper[1], hi))
     return Piece(lo, hi, lower_b, bound(upper_c, *declared))
 
 
@@ -920,7 +897,7 @@ def _map_bounds(piece: Piece, change: Callable[[Bound], Bound]) -> Piece:
 
 @dataclass(frozen=True)
 class EnvelopeCheck:
-    x: Optional[Scalar]
+    x: Scalar
     side: str
     provenance: str
     passed: bool
@@ -936,8 +913,9 @@ _ENVELOPE_APPROACH_TOL = 1e-3
 
 def validate_envelopes(f: HFunction) -> List[EnvelopeCheck]:
     """Sample each declared/estimated envelope on a geometric sequence
-    approaching its end: ``_ENVELOPE_SAMPLES_PER_DECADE`` points per decade
-    over ``_ENVELOPE_DECADES`` decades.
+    approaching its end, always a finite one (`Bound`):
+    ``_ENVELOPE_SAMPLES_PER_DECADE`` points per decade over
+    ``_ENVELOPE_DECADES`` decades.
 
     Flags values escaping [liminf - eps, limsup + eps] (soundness; eps is
     the tolerance in float mode, 0 in rational mode) and an observed range
@@ -958,9 +936,6 @@ def validate_envelopes(f: HFunction) -> List[EnvelopeCheck]:
 
 def _check_envelope(bound, at, side, env, piece, eps) -> EnvelopeCheck:
     label = "left" if side == "+" else "right"
-    if at is None:
-        return EnvelopeCheck(None, label, env.provenance, True, None, None,
-                             "infinite end not sampled")
     reach = _reach(piece.lo, piece.hi)
     base = min(to_scalar(1), reach / 2)
     sign = to_scalar(1) if side == "+" else to_scalar(-1)

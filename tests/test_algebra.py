@@ -206,6 +206,13 @@ class TestExprEvaluation:
             right = algebra.eval_expr(algebra.parse_operand_expr("a*c + b*c"), bindings)
             assert pw.func_equal(left, right)
 
+    def test_fold_order_and_operand_names(self):
+        # operations given as text show the fold: operands in place, left first
+        tree = algebra.parse_operand_expr("b * (a + b) + c * a")
+        assert algebra.operand_names(tree) == ["b", "a", "c"]
+        add, mul = (lambda f, g: f"({f} + {g})"), (lambda f, g: f"{f}{g}")
+        assert algebra.eval_expr(tree, dict(a="a", b="b", c="c"), add, mul) == "(b(a + b) + ca)"
+
     def test_pointwise_mode_s_continuous(self, step_pair):
         f, g = step_pair
         tree = algebra.parse_operand_expr("(f + g)*f")

@@ -5,12 +5,14 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import hfring
 from hfring import algebra, cli, formats, order, suite
 from hfring import piecewise as pw
+from hfring.errors import EnvelopeError
 from hfring.piecewise import Domain
 
 from conftest import DATA_DIR
@@ -182,17 +184,24 @@ class TestOp:
         assert cli.main(argv + ["-o", str(tmp_path / "r.json")]) == 0
         assert calls == [2048, 2048]
 
+    def test_long_expression_within_the_recursion_limit(self, tmp_path):
+        # the parser builds a left-deep chain, one tree level per term
+        out_file = tmp_path / "sum.json"
+        run_cli("op", STEP, " + ".join(["f"] * 1100), "-o", str(out_file))
+        assert run_cli("eval", str(out_file), "result", "1").stdout == "1 1100 1100\n"
+
     def test_check_all_exit_1_when_a_route_disagrees(self, monkeypatch, capsys):
         real = algebra.oplus_def2
+        # a shift far below the float-mode tolerance still breaks literal equality
+        for shift in (1, Fraction(1, 10**12)):
+            def shifted(f, g, declared=None):
+                report = real(f, g, declared)
+                c = pw.constant_function(report.result.domain, shift)
+                return dataclasses.replace(report, result=pw.pointwise_add(report.result, c))
 
-        def shifted(f, g, declared=None):
-            report = real(f, g, declared)
-            one = pw.constant_function(report.result.domain, 1)
-            return dataclasses.replace(report, result=pw.pointwise_add(report.result, one))
-
-        monkeypatch.setattr(algebra, "oplus_def2", shifted)
-        assert cli.main(["op", STEP, "f + g", "--check-all"]) == 1
-        assert "def2 deviates from def1" in capsys.readouterr().err
+            monkeypatch.setattr(algebra, "oplus_def2", shifted)
+            assert cli.main(["op", STEP, "f + g", "--check-all"]) == 1
+            assert "def2 deviates from def1" in capsys.readouterr().err
 
     def test_check_all_skips_def3_for_a_declared_envelope(self):
         declare = ["--declare", "0", "0", "0"]
@@ -342,20 +351,32 @@ class TestValidate:
         with open(STEP) as fp:
             data = json.load(fp)
         left, right = data["functions"]["f"]["pieces"]
-        left["envelopes"] = {"left": {"liminf": 0, "limsup": 0},
-                             "right": {"liminf": 0, "limsup": "1/2"}}
+        left["envelopes"] = {"right": {"liminf": 0, "limsup": "1/2"}}
         right["envelopes"] = {"left": {"liminf": 1, "limsup": 1}}
         defs = tmp_path / "defs.json"
         defs.write_text(json.dumps(data))
         out = run_cli("validate", str(defs), expect=1).stdout
         checks = {(c["x"], c["side"]): c for c in json.loads(out)["f"]["envelopes"]}
-        assert checks[(None, "left")]["observed_min"] is None
-        assert checks[(None, "left")]["observed_max"] is None
         assert checks[(0, "right")]["passed"] is False  # 1/2 is never approached
         assert checks[(0, "right")]["observed_min"] == 0
         assert checks[(0, "right")]["observed_max"] == 0
         assert checks[(0, "left")]["observed_min"] == 1
         assert checks[(0, "left")]["observed_max"] == 1
+
+    @pytest.mark.parametrize("piece, extra", [
+        (0, {"envelopes": {"left": {"liminf": 0, "limsup": 0}}}),
+        (1, {"upper": "2", "upper_envelopes": {"right": {"liminf": 2, "limsup": 2}}}),
+    ], ids=["envelopes-at-minus-inf", "upper-envelopes-at-inf"])
+    def test_envelope_at_an_infinite_end_exit_2(self, tmp_path, piece, extra):
+        # an infinite end is not a point of the domain, so it takes no envelope
+        with open(STEP) as fp:
+            data = json.load(fp)
+        data["functions"]["f"]["pieces"][piece].update(extra)
+        defs = tmp_path / "defs.json"
+        defs.write_text(json.dumps(data))
+        with pytest.raises(EnvelopeError, match="infinite"):
+            formats.load_defs(str(defs))
+        assert "infinite" in run_cli("validate", str(defs), expect=2).stderr
 
     def test_exact_declaration_passes_in_rational_mode(self, tmp_path):
         # the declared envelope is the exact limit 1/3, so the check's slack

@@ -208,19 +208,6 @@ class TestAnalysis:
         assert ex.count_poly_roots_inside(coeffs, Fraction(1), None) == 0
         assert ex.count_poly_roots_inside(coeffs, None, None) == 2
 
-    def test_limit_at_infinity(self):
-        assert ex.limit_at_infinity(ex.parse("(2*x+1)/(x-3)"), 1) == Fraction(2)
-        assert ex.limit_at_infinity(ex.parse("1/x"), 1) == Fraction(0)
-        assert ex.limit_at_infinity(ex.parse("x*x"), 1) is None
-        assert ex.limit_at_infinity(ex.canonical(ex.parse("x*x")), 1) is None
-        assert ex.limit_at_infinity(ex.canonical(ex.parse("(x*x+1)/(2*x*x)")), -1) == Fraction(1, 2)
-        assert ex.limit_at_infinity(ex.parse("sin(x)"), 1) is None
-
-    def test_limit_at_infinity_zero_denominator(self):
-        for text in ("1/0", "x/(x - x)", "0/0"):
-            with pytest.raises(ExprEvalError, match="division by zero"):
-                ex.limit_at_infinity(ex.parse(text), 1)
-
 
 def _reference_evaluate(e, x):
     """The tree-walking interpreter `evaluator` replaced: one recursive call

@@ -13,6 +13,7 @@ from hfring import algebra, baire, formats, scalars, suite
 from hfring.errors import (
     DomainError,
     EngineError,
+    EnvelopeError,
     NumericRangeError,
     PieceError,
     RepresentationError,
@@ -349,6 +350,32 @@ class TestRationalLimit:
         samples = [math.sin(1 / (0.125 / 2**k)) for k in range(17, 49)]
         env = piece.lower.left
         assert env == pw.EndEnvelope(min(samples), max(samples), pw.ESTIMATED)
+
+    def test_no_envelope_at_an_infinite_end(self, float_mode):
+        # on (-inf, 0) the bound ranges over [-2, 0] far out; an infinite end
+        # is not a point of the domain, so nothing is sampled there
+        piece = pw.make_piece(None, 0.0, ex.parse("sin(x) + x/sqrt(x*x)"))
+        assert piece.lower.left is None
+        assert piece.lower.right.provenance == pw.ESTIMATED
+        assert pw.make_piece(0.0, None, ex.parse("sqrt(x)/(1 + x)")).lower.right is None
+
+    def test_no_envelope_at_an_infinite_end_in_rational_mode(self):
+        piece = pw.make_piece(F(1), None, ex.parse("(2*x+1)/(x+3)"))
+        assert piece.lower.left == pw.EndEnvelope(Fraction(3, 4), Fraction(3, 4))
+        assert piece.lower.right is None
+
+    def test_declared_data_at_an_infinite_end_rejected(self):
+        with pytest.raises(EnvelopeError, match="infinite end"):
+            pw.make_piece(None, F(0), ex.parse("0"), declared_left=(0, 0))
+        with pytest.raises(EnvelopeError, match="infinite end"):
+            pw.make_piece(F(0), None, ex.parse("0"), declared_right=(0, 0))
+        with pytest.raises(EnvelopeError, match="infinite end"):
+            pw.make_piece(F(0), None, ex.parse("0"), ex.parse("1"),
+                          declared_upper=((1, 1), (1, 1)))
+        # a finite end of the same piece takes declared data
+        piece = pw.make_piece(F(0), None, ex.parse("0"), ex.parse("1"),
+                              declared_upper=((1, 1), None))
+        assert piece.upper.left.provenance == pw.DECLARED
 
 
 def _rational_limit_reference(e, at):
