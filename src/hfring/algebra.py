@@ -6,7 +6,8 @@ against F(S(I(.)))), and restricting the pointwise operation to the locus
 where both operands are point-valued, then extending back (route 2).  The
 module also evaluates whole +/x expressions over bound operands, by any
 pair of operations (a route's ring operations or the pointwise ones), and
-checks the commutative-ring axioms over seeded random suites.
+checks the commutative-ring axioms over seeded random suites.  Those
+expressions are read by the one expression parser, `expr._parse`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     NotHausdorffContinuous,
     UnboundOperandError,
 )
-from .expr import ExprSyntaxError, tokenize
+from .expr import _parse
 from .piecewise import DenseSubsetSpec, HFunction
 from .scalars import Scalar
 
@@ -54,51 +55,11 @@ ExprTree = Union[OperandRef, TreePlus, TreeTimes]
 
 
 def parse_operand_expr(text: str) -> ExprTree:
-    """Parse an expression over named operands with + and * only."""
-    tokens = tokenize(text)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]]
-
-    def advance():
-        tok = tokens[pos[0]]
-        if tok[0] != "end":
-            pos[0] += 1
-        return tok
-
-    def parse_sum() -> ExprTree:
-        node = parse_product()
-        while peek()[0] == "+":
-            advance()
-            node = TreePlus(node, parse_product())
-        return node
-
-    def parse_product() -> ExprTree:
-        node = parse_atom()
-        while peek()[0] == "*":
-            advance()
-            node = TreeTimes(node, parse_atom())
-        return node
-
-    def parse_atom() -> ExprTree:
-        tok = peek()
-        if tok[0] == "name":
-            advance()
-            return OperandRef(tok[1])
-        if tok[0] == "(":
-            advance()
-            node = parse_sum()
-            if peek()[0] != ")":
-                raise ExprSyntaxError("expected ')'", peek()[2])
-            advance()
-            return node
-        raise ExprSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
-
-    node = parse_sum()
-    if peek()[0] != "end":
-        raise ExprSyntaxError(f"trailing input {peek()[1]!r}", peek()[2])
-    return node
+    """Parse an expression over named operands with + and * only, by the
+    one expression parser (`expr._parse`): ``*`` binds tighter than ``+``,
+    and both associate left."""
+    return _parse(text, {"+": (1, TreePlus), "*": (2, TreeTimes)}, {}, (),
+                  lambda kind, name, at: OperandRef(name) if kind == "name" else None)
 
 
 def _postorder(tree: ExprTree) -> List[ExprTree]:

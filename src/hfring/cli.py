@@ -18,6 +18,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import re
 import sys
 from typing import Dict, List, Optional
@@ -73,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         "operations by three routes, and verification suites.",
     )
     parser.add_argument("--mode", choices=("rational", "float"), default="rational")
-    parser.add_argument("--tol", type=float, default=1e-9,
+    parser.add_argument("--tol", type=_at_least(float, 0, strict=True), default=1e-9,
                         help="float-mode comparison tolerance")
     parser.add_argument("--seed", type=int, default=8201,
                         help="seed for every deterministic sampling")
@@ -90,14 +91,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_op.add_argument("--def", dest="definition", type=int, choices=(1, 2, 3), default=1)
     p_op.add_argument("--check-all", action="store_true",
                       help="run every applicable route and compare")
-    p_op.add_argument("--depth", type=int, default=4096)
+    p_op.add_argument("--depth", type=_at_least(int, 1), default=4096)
     p_op.add_argument("--declare", nargs=3, action="append", metavar=("X", "LIMINF", "LIMSUP"),
                       default=[], help="declared envelope for the pointwise result at X")
     p_op.add_argument("-o", "--output", default="-")
 
     p_ring = sub.add_parser("verify-ring", help="check the ring axioms on a random suite")
-    p_ring.add_argument("--count", type=int, default=200)
-    p_ring.add_argument("--max-jumps", type=int, default=4)
+    p_ring.add_argument("--count", type=_at_least(int, 1), default=200)
+    p_ring.add_argument("--max-jumps", type=_at_least(int, 0), default=4)
     p_ring.add_argument("--domain", nargs=2, default=("-1", "1"))
     p_ring.add_argument("--mutate", choices=("none", "skip-completion"), default="none",
                         help="test hook: deliberately break the operations")
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("name")
     p_sample.add_argument("x0")
     p_sample.add_argument("h")
-    p_sample.add_argument("n", type=int)
+    p_sample.add_argument("n", type=_at_least(int, 1))
     p_sample.add_argument("output")
 
     p_grid = sub.add_parser("grid-converge",
@@ -125,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("defs")
     p_cmp.add_argument("f")
     p_cmp.add_argument("g")
-    p_cmp.add_argument("--depth", type=int, default=4096)
-    p_cmp.add_argument("--tol", dest="cmp_tol", type=float, default=1e-3)
+    p_cmp.add_argument("--depth", type=_at_least(int, 1), default=4096)
+    p_cmp.add_argument("--tol", dest="cmp_tol", type=_at_least(float, 0), default=1e-3)
     p_cmp.add_argument("--ops", default="plus,times")
     p_cmp.add_argument("--out-csv", default="compare_defs_points.csv")
     p_cmp.add_argument("-o", "--output", default="-")
@@ -138,6 +139,21 @@ def build_parser() -> argparse.ArgumentParser:
     for command in sub.choices.values():
         _accept_negative_fractions(command)
     return parser
+
+
+def _at_least(kind: type, low, strict: bool = False):
+    """An argparse type: a finite ``kind`` number at least ``low`` (above it
+    if ``strict``).  argparse turns anything else into exit 2."""
+
+    def read(text: str):
+        value = kind(text)
+        if not (low < value < math.inf if strict else low <= value < math.inf):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number {'above' if strict else 'at least'} {low}, got {text!r}")
+        return value
+
+    read.__name__ = kind.__name__  # argparse reports a ValueError as "invalid int value"
+    return read
 
 
 def _accept_negative_fractions(parser: argparse.ArgumentParser) -> None:
@@ -165,6 +181,8 @@ def _load(path: str) -> Dict[str, HFunction]:
         return formats.load_defs(path)
     except (OSError, json.JSONDecodeError, EngineError) as exc:
         raise _UsageError(f"cannot load {path}: {exc}") from exc
+    except RecursionError as exc:  # the expression walkers recurse once per tree level
+        raise _UsageError(f"cannot load {path}: expression nested too deeply") from exc
 
 
 def _number(text: str, what: str) -> Scalar:
@@ -301,6 +319,8 @@ def cmd_grid_converge(args) -> int:
     exact = algebra.eval_expr(tree, bindings)
     pointwise = algebra.eval_expr(tree, bindings, pw.pointwise_add, pw.pointwise_mul)
     steps = [_number(h, "--h") for h in args.steps]
+    if min(steps) <= 0:
+        raise _UsageError("--h must be positive")
     x0, width = _grid_window(args, exact)
     # measurement points stay a fixed margin away from every jump of the
     # sampled data, so the one-cell smear never enters the error
@@ -326,6 +346,8 @@ def cmd_compare_defs(args) -> int:
     bindings = _load(args.defs)
     f, g = _bound(bindings, args.f), _bound(bindings, args.g)
     ops = [o.strip() for o in args.ops.split(",") if o.strip()]
+    if not ops:
+        raise _UsageError("--ops names no operation (use plus,times)")
     report = {}
     csv_rows: List[List[str]] = [["op", "x", "def3_lo", "def3_hi", "def1_lo", "def1_hi"]]
     for op in ops:

@@ -5,6 +5,10 @@ operators, unary minus, and the functions sin, cos, sqrt, with arbitrary
 composition (``sin(1/x)`` and the like).  ``*`` and ``/`` bind tighter
 than ``+`` and ``-``; same-precedence operators associate left.
 
+`_parse` is the package's one parser, driven by a grammar table: `parse`
+runs it with the piece table, `algebra.parse_operand_expr` with the table of
+``+``/``*`` expressions over named operands.
+
 Constants are stored as exact rationals regardless of engine mode; decimal
 literals are read with decimal semantics.
 
@@ -31,6 +35,7 @@ keeps one per mode.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,6 +122,12 @@ ONE = const(1)
 
 Token = Tuple[str, str, int]  # kind, text, position
 
+# precedences, shared by the parser's table and the printer
+_PREC_ADD = 10
+_PREC_MUL = 20
+_PREC_NEG = 30
+_PREC_ATOM = 100
+
 
 def tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
@@ -153,90 +164,89 @@ def tokenize(text: str) -> List[Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: List[Token]):
-        self.tokens = tokens
-        self.pos = 0
+def _parse(text: str, binary: dict, prefix: dict, functions: Sequence[str], leaf) -> object:
+    """Parse ``text`` by operator precedence over explicit stacks, so that
+    nesting depth is bounded by memory, not by the recursion limit.
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    The grammar is a table: ``binary`` maps an operator token to its
+    (precedence, constructor), precedences at least 0 and all operators
+    left-associative; ``prefix`` does the same for unary operators, which
+    must bind tighter than every binary one; a name in ``functions`` takes a
+    parenthesised argument and builds ``Fun(name, arg)``; and
+    ``leaf(kind, text, position)`` builds a leaf from any other token,
+    returns None where the grammar has no leaf, or raises ExprSyntaxError.
+    """
+    tokens = tokenize(text)
+    operands: list = []
+    pending: list = []  # (precedence, constructor, arity); an open group has -1
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok[0] != "end":
-            self.pos += 1
-        return tok
+    def reduce(precedence: int) -> None:
+        while pending and pending[-1][0] >= precedence:
+            _, build, arity = pending.pop()
+            operands[-arity:] = [build(*operands[-arity:])]
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ExprSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return self.advance()
+    i = 0
+    while True:
+        # operand position: prefix operators and open groups, then a leaf
+        kind, word, at = tokens[i]
+        i += 1
+        if kind in prefix:
+            precedence, build = prefix[kind]
+            pending.append((precedence, build, 1))
+        elif kind == "(":
+            pending.append((-1, None, 1))
+        elif kind == "name" and word in functions:
+            if tokens[i][0] != "(":
+                raise ExprSyntaxError(f"expected '(', found {tokens[i][1]!r}", tokens[i][2])
+            i += 1
+            pending.append((-1, functools.partial(Fun, word), 1))
+        else:
+            node = leaf(kind, word, at)
+            if node is None:
+                raise ExprSyntaxError(f"unexpected token {word!r}", at)
+            operands.append(node)
+            # operator position: closing parentheses, then a binary operator
+            while True:
+                kind, word, at = tokens[i]
+                i += 1
+                if kind in binary:
+                    precedence, build = binary[kind]
+                    reduce(precedence)
+                    pending.append((precedence, build, 2))
+                    break
+                reduce(0)
+                if not pending:
+                    if kind == "end":
+                        return operands[0]
+                    raise ExprSyntaxError(f"trailing input {word!r}", at)
+                if kind != ")":
+                    raise ExprSyntaxError(f"expected ')', found {word!r}", at)
+                _, close, _ = pending.pop()
+                if close:  # a function's argument list
+                    operands[-1] = close(operands[-1])
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            right = self.parse_term()
-            node = Add(node, right) if op == "+" else Sub(node, right)
-        return node
 
-    def parse_term(self) -> Expr:
-        node = self.parse_unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            right = self.parse_unary()
-            node = Mul(node, right) if op == "*" else Div(node, right)
-        return node
+def _piece_leaf(kind: str, text: str, at: int) -> Optional[Expr]:
+    if kind == "number":
+        return Const(Fraction(text))
+    if kind == "name" and text != "x":
+        raise ExprSyntaxError(f"unknown name {text!r}", at)
+    return X if kind == "name" else None
 
-    def parse_unary(self) -> Expr:
-        if self.peek()[0] == "-":
-            self.advance()
-            return Neg(self.parse_unary())
-        return self.parse_atom()
 
-    def parse_atom(self) -> Expr:
-        tok = self.peek()
-        if tok[0] == "number":
-            self.advance()
-            return Const(Fraction(tok[1]))
-        if tok[0] == "name":
-            self.advance()
-            if tok[1] == "x":
-                return X
-            if tok[1] in FUNCTIONS:
-                self.expect("(")
-                arg = self.parse_expr()
-                self.expect(")")
-                return Fun(tok[1], arg)
-            raise ExprSyntaxError(f"unknown name {tok[1]!r}", tok[2])
-        if tok[0] == "(":
-            self.advance()
-            node = self.parse_expr()
-            self.expect(")")
-            return node
-        raise ExprSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
+_PIECE_BINARY = {"+": (_PREC_ADD, Add), "-": (_PREC_ADD, Sub),
+                 "*": (_PREC_MUL, Mul), "/": (_PREC_MUL, Div)}
+_PIECE_PREFIX = {"-": (_PREC_NEG, Neg)}
 
 
 def parse(text: str) -> Expr:
-    """Parse expression text; raises ExprSyntaxError with a position."""
-    parser = _Parser(tokenize(text))
-    node = parser.parse_expr()
-    end = parser.peek()
-    if end[0] != "end":
-        raise ExprSyntaxError(f"trailing input {end[1]!r}", end[2])
-    return node
+    """Parse piece-expression text; raises ExprSyntaxError with a position."""
+    return _parse(text, _PIECE_BINARY, _PIECE_PREFIX, FUNCTIONS, _piece_leaf)
 
 
 # ---------------------------------------------------------------------------
 # Printing
 # ---------------------------------------------------------------------------
-
-_PREC_ADD = 10
-_PREC_MUL = 20
-_PREC_NEG = 30
-_PREC_ATOM = 100
-
 
 def _prec(e: Expr) -> int:
     if isinstance(e, Poly):

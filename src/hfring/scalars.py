@@ -47,10 +47,10 @@ def set_mode(mode: str, tolerance: Optional[float] = None) -> None:
     global _mode, _tolerance
     if mode not in (RATIONAL, FLOAT):
         raise EngineError(f"unknown mode {mode!r}")
+    if tolerance is not None and not 0 < tolerance < math.inf:
+        raise EngineError(f"tolerance must be finite and positive, not {tolerance!r}")
     _mode = mode
     if tolerance is not None:
-        if tolerance <= 0:
-            raise EngineError("tolerance must be positive")
         _tolerance = tolerance
 
 

@@ -84,6 +84,27 @@ class TestEval:
         assert "division by zero" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_deeply_nested_piece(self, tmp_path):
+        outputs = []
+        for piece in ("x", "(" * 400 + "x" + ")" * 400):
+            path = tmp_path / "defs.json"
+            path.write_text(json.dumps({"functions": {"f": {
+                "domain": [-1, 1], "pieces": [{"on": [-1, 1], "lower": piece}], "points": [],
+            }}}))
+            outputs.append(run_cli("eval", str(path), "f", "1/2").stdout)
+        assert outputs == ["0.5 0.5 0.5\n"] * 2
+
+    def test_piece_too_deep_for_the_walkers_exit_2(self, tmp_path):
+        # one tree level per term; parsing is iterative, canonicalising is not
+        path = tmp_path / "defs.json"
+        path.write_text(json.dumps({"functions": {"f": {
+            "domain": [-1, 1], "pieces": [{"on": [-1, 1], "lower": " + ".join(["x"] * 1100)}],
+            "points": [],
+        }}}))
+        result = run_cli("eval", str(path), "f", "1/2", expect=2)
+        assert "expression nested too deeply" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_zero_denominator_point_exit_2(self):
         result = run_cli("eval", STEP, "f", "1/0", expect=2)
         assert "not a number" in result.stderr
@@ -183,6 +204,10 @@ class TestOp:
         argv = ["op", suite_defs, "a + b + c", "--def", "3", "--depth", "2048"]
         assert cli.main(argv + ["-o", str(tmp_path / "r.json")]) == 0
         assert calls == [2048, 2048]
+
+    def test_deep_nesting_within_the_recursion_limit(self):
+        nested = run_cli("op", STEP, "(" * 400 + "f" + ")" * 400)
+        assert nested.stdout == run_cli("op", STEP, "f").stdout
 
     def test_long_expression_within_the_recursion_limit(self, tmp_path):
         # the parser builds a left-deep chain, one tree level per term
@@ -423,8 +448,24 @@ def _exit_code(argv):
     ["op", STEP, "f + g", "--declare", "0", "-1", "1/0"],
     ["compare-defs", STEP, "f", "g", "--tol", "1/0"],
     ["compare-defs", STEP, "f", "g", "--depth", "1/2"],
+    ["--tol", "0", "eval", STEP, "f", "0"],
+    ["--tol", "-1", "eval", STEP, "f", "0"],
+    ["--mode", "float", "--tol", "nan", "eval", STEP, "f", "0"],
+    ["--mode", "float", "--tol", "inf", "eval", STEP, "f", "0"],
+    ["verify-ring", "--max-jumps", "-2"],
+    ["verify-ring", "--count", "0"],
+    ["op", STEP, "f + g", "--depth", "0"],
+    ["compare-defs", STEP, "f", "g", "--depth", "0", "--out-csv", "OUT"],
+    ["compare-defs", STEP, "f", "g", "--tol", "nan", "--out-csv", "OUT"],
+    ["compare-defs", STEP, "f", "g", "--tol", "-1", "--out-csv", "OUT"],
+    ["sample", STEP, "f", "0", "1/2", "0", "OUT"],
+    ["compare-defs", STEP, "f", "g", "--ops", ",", "--out-csv", "OUT"],
+    ["grid-converge", STEP, "f + g", "--h", "1/8", "0", "--x0", "-1", "--width", "2"],
 ], ids=["eval", "eval-float-range", "sample-h", "sample-x0", "verify-ring-domain",
-        "grid-h", "grid-width", "grid-x0-alone", "op-declare", "compare-tol", "compare-depth"])
+        "grid-h", "grid-width", "grid-x0-alone", "op-declare", "compare-tol", "compare-depth",
+        "tol-zero", "tol-negative", "tol-nan", "tol-inf", "max-jumps-negative", "count-zero",
+        "op-depth-zero", "compare-depth-zero", "compare-tol-nan", "compare-tol-negative",
+        "sample-n-zero", "compare-no-ops", "grid-h-zero"])
 def test_bad_number_exit_2(argv, tmp_path, capsys):
     argv = [str(tmp_path / "out.csv") if arg == "OUT" else arg for arg in argv]
     assert _exit_code(argv) == 2

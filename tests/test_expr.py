@@ -8,8 +8,31 @@ from hypothesis import given, settings, strategies as st
 
 from hfring import expr as ex
 from hfring import piecewise as pw
-from hfring import baire, scalars
+from hfring import algebra, baire, scalars
 from hfring.errors import ExprEvalError, ExprSyntaxError
+
+
+_operand = algebra.parse_operand_expr
+_SYNTAX_ERRORS = [
+    (ex.parse, "2*x +", "unexpected token ''", 5),  # operand missing at the end
+    (ex.parse, "2*foo(x)", "unknown name 'foo'", 2),  # unknown name
+    (ex.parse, "sin 1", "expected '(', found '1'", 4),  # function without (
+    (ex.parse, "sin(x", "expected ')', found ''", 5),  # unclosed argument list
+    (ex.parse, "(x + 1", "expected ')', found ''", 6),  # unclosed (
+    (ex.parse, "(x 1)", "expected ')', found '1'", 3),  # unclosed ( before a token
+    (ex.parse, "x + 1)", "trailing input ')'", 5),  # stray )
+    (ex.parse, "x * * 2", "unexpected token '*'", 4),  # unexpected token
+    (ex.parse, "x 2", "trailing input '2'", 2),  # trailing input
+    (_operand, "(f + g", "expected ')', found ''", 6),  # unclosed (
+    (_operand, "(f g)", "expected ')', found 'g'", 3),  # unclosed ( before a token
+    (_operand, "f)", "trailing input ')'", 1),  # stray )
+    (_operand, "f + * g", "unexpected token '*'", 4),  # unexpected token
+    (_operand, "f g", "trailing input 'g'", 2),  # trailing input
+    (_operand, "f * 2", "unexpected token '2'", 4),  # a number
+    (_operand, "-f", "unexpected token '-'", 0),  # unary -
+    (_operand, "f - g", "trailing input '-'", 2),  # binary -
+    (_operand, "sin(f)", "trailing input '('", 3),  # no functions: sin is an operand
+]
 
 
 class TestParsing:
@@ -34,13 +57,22 @@ class TestParsing:
         assert ex.parse("-x") == ex.Neg(ex.X)
 
     def test_syntax_error_carries_position(self):
-        with pytest.raises(ExprSyntaxError) as err:
-            ex.parse("2*x +")
-        assert err.value.position == 5
-        with pytest.raises(ExprSyntaxError):
-            ex.parse("sin 1")
-        with pytest.raises(ExprSyntaxError):
-            ex.parse("foo(x)")
+        # one row per error branch of each grammar
+        for parse, text, message, position in _SYNTAX_ERRORS:
+            with pytest.raises(ExprSyntaxError) as err:
+                parse(text)
+            assert str(err.value) == f"{message} (at position {position})", text
+            assert err.value.position == position, text
+
+    @pytest.mark.parametrize("depth", [400, 5000])
+    def test_nesting_depth_is_not_limited(self, depth):
+        assert ex.parse("(" * depth + "-x" + ")" * depth) == ex.Neg(ex.X)
+        tree = ex.parse("sin(" * depth + "x" + ")" * depth)
+        for _ in range(depth):  # a walk, since == recurses once per level
+            assert tree.name == "sin"
+            tree = tree.arg
+        assert tree == ex.X
+        assert _operand("(" * depth + "f" + ")" * depth) == algebra.OperandRef("f")
 
 
 def _random_tree(rng, depth):
@@ -71,6 +103,29 @@ class TestRoundTrip:
             tree = ex.canonical(_random_tree(rng, 4))
             reparsed = ex.canonical(ex.parse(ex.to_text(tree)))
             assert reparsed == tree, ex.to_text(tree)
+
+
+def _operand_text(tree, minimum=0):
+    """``tree`` with the fewest parentheses: ``*`` binds tighter than ``+``,
+    and a right operand of equal precedence is bracketed (left association)."""
+    if isinstance(tree, algebra.OperandRef):
+        return tree.name
+    prec, op = (1, " + ") if isinstance(tree, algebra.TreePlus) else (2, "*")
+    text = _operand_text(tree.left, prec) + op + _operand_text(tree.right, prec + 1)
+    return f"({text})" if prec < minimum else text
+
+
+_OPERAND_TREES = st.recursive(
+    st.sampled_from(["a", "b", "f_1"]).map(algebra.OperandRef),
+    lambda sub: st.builds(algebra.TreePlus, sub, sub) | st.builds(algebra.TreeTimes, sub, sub),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OPERAND_TREES)
+def test_operand_print_parse_round_trip(tree):
+    assert algebra.parse_operand_expr(_operand_text(tree)) == tree
 
 
 class TestPrintedCanonicalForms:

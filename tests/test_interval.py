@@ -62,6 +62,13 @@ class TestBasics:
         with pytest.raises(NumericRangeError):
             iv.mul(big, big)
 
+    @pytest.mark.parametrize("tolerance", [0, -1.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_finite_and_positive(self, tolerance):
+        with pytest.raises(EngineError, match="finite and positive"):
+            scalars.set_mode(scalars.FLOAT, tolerance)
+        assert scalars.get_mode() == scalars.RATIONAL  # a refused call changes nothing
+        assert scalars.get_tolerance() == scalars.DEFAULT_TOLERANCE
+
 
 def _rand_interval(rng):
     a = Fraction(rng.randint(-400, 400), rng.choice((1, 2, 4, 8)))
