@@ -1,13 +1,13 @@
 """Ring operations on Hausdorff-continuous functions.
 
 Two equivalent constructions are implemented: completing the pointwise
-interval operation (route 1, computed as F(I(S(.))) and cross-checked
-against F(S(I(.)))), and restricting the pointwise operation to the locus
-where both operands are point-valued, then extending back (route 2).  The
-module also evaluates whole +/x expressions over bound operands, by any
-pair of operations (a route's ring operations or the pointwise ones), and
-checks the commutative-ring axioms over seeded random suites.  Those
-expressions are read by the one expression parser, `expr._parse`.
+interval operation (route 1, computed once as F(I(S(.))), which F(S(I(.)))
+equals there), and restricting the pointwise operation to the locus where
+both operands are point-valued, then extending back (route 2).  The module
+also evaluates whole +/x expressions over bound operands, by any pair of
+operations (a route's ring operations or the pointwise ones), and checks the
+commutative-ring axioms over seeded random suites.  Those expressions are
+read by the one expression parser, `expr._parse`.
 """
 
 from __future__ import annotations
@@ -18,12 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from . import baire
 from . import interval as iv
 from . import piecewise as pw
-from .errors import (
-    EngineError,
-    InternalConsistencyError,
-    NotHausdorffContinuous,
-    UnboundOperandError,
-)
+from .errors import EngineError, NotHausdorffContinuous, UnboundOperandError
 from .expr import _parse
 from .piecewise import DenseSubsetSpec, HFunction
 from .scalars import Scalar
@@ -86,7 +81,8 @@ def operand_names(tree: ExprTree) -> List[str]:
 
 @dataclass(frozen=True)
 class OpReport:
-    """Result of a ring operation with its audit trail."""
+    """Result of a ring operation with its audit trail; ``witnesses`` and
+    ``max_deviation`` are filled by the order-limit route (def3) only."""
 
     result: HFunction
     pointwise: HFunction
@@ -114,18 +110,7 @@ def _apply_declared(s: HFunction, declared) -> HFunction:
 def _op_def1(f: HFunction, g: HFunction, pointwise_op, declared) -> OpReport:
     _require_h_continuous(f, g)
     s = _apply_declared(pointwise_op(f, g), declared)
-    via_fis = baire.fis(s)
-    via_fsi = baire.fsi(s)
-    if not pw.func_equal(via_fis, via_fsi):
-        raise InternalConsistencyError(
-            "F(I(S(.))) and F(S(I(.))) disagree; uniqueness is violated"
-        )
-    return OpReport(
-        result=via_fis,
-        pointwise=s,
-        definition="def1",
-        witnesses={"fis": via_fis, "fsi": via_fsi},
-    )
+    return OpReport(result=baire.fis(s), pointwise=s, definition="def1")
 
 
 def oplus_def1(f: HFunction, g: HFunction, declared=None) -> OpReport:

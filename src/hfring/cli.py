@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 check failed (routes that disagree included) or
 other engine error, 2 parse or usage error, 3 unbound name, 4 domain error,
 5 operand not Hausdorff continuous, 6 order-limit route requested outside
 the piecewise-linear subclass.
-Engine errors map to codes through the one table `_EXIT_CODES`.
+Engine errors, and the RecursionError of an expression nested too deeply,
+map to codes through the one table `_EXIT_CODES`.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class _UsageError(EngineError):
     malformed number or an option combination that means nothing (exit 2)."""
 
 
-# engine errors reaching `main`, mapped to exit codes; the first match wins
+# errors reaching `main`, mapped to exit codes; the first match wins
 _EXIT_CODES = (
     (_UsageError, EXIT_PARSE),
     (ExprSyntaxError, EXIT_PARSE),
@@ -61,6 +62,7 @@ _EXIT_CODES = (
     (NotHausdorffContinuous, EXIT_NOT_HCONT),
     (NotPiecewiseLinear, EXIT_NOT_PL),
     (EngineError, EXIT_FAILED),
+    (RecursionError, EXIT_PARSE),  # the expression walkers recurse once per tree level
 )
 
 
@@ -181,8 +183,6 @@ def _load(path: str) -> Dict[str, HFunction]:
         return formats.load_defs(path)
     except (OSError, json.JSONDecodeError, EngineError) as exc:
         raise _UsageError(f"cannot load {path}: {exc}") from exc
-    except RecursionError as exc:  # the expression walkers recurse once per tree level
-        raise _UsageError(f"cannot load {path}: expression nested too deeply") from exc
 
 
 def _number(text: str, what: str) -> Scalar:
@@ -192,6 +192,14 @@ def _number(text: str, what: str) -> Scalar:
         return to_scalar(text)
     except EngineError as exc:
         raise _UsageError(f"bad {what} {text!r}: {exc}") from exc
+
+
+def _positive(text: str, what: str) -> Scalar:
+    """`_number`, and a usage error (exit 2) unless it is positive."""
+    value = _number(text, what)
+    if not value > 0:
+        raise _UsageError(f"{what} must be positive, got {text!r}")
+    return value
 
 
 def _bound(bindings: Dict[str, HFunction], name: str) -> HFunction:
@@ -279,7 +287,10 @@ def cmd_op(args) -> int:
 
 
 def cmd_verify_ring(args) -> int:
-    domain = Domain.of(*(_number(end, "--domain end") for end in args.domain))
+    lo, hi = (_number(end, "--domain end") for end in args.domain)
+    if not lo < hi:
+        raise _UsageError(f"--domain must satisfy lo < hi, got {' and '.join(args.domain)}")
+    domain = Domain.of(lo, hi)
     functions = suite.h_continuous_suite(
         args.seed, args.count, domain, args.max_jumps
     )
@@ -295,7 +306,7 @@ def cmd_verify_ring(args) -> int:
 
 def cmd_sample(args) -> int:
     f = _bound(_load(args.defs), args.name)
-    grid = baire.grid_sample(f, _number(args.x0, "x0"), _number(args.h, "h"), args.n)
+    grid = baire.grid_sample(f, _number(args.x0, "x0"), _positive(args.h, "h"), args.n)
     with open(args.output, "w", encoding="utf-8", newline="") as fp:
         formats.grid_to_csv(grid, fp)
     return EXIT_OK
@@ -305,7 +316,7 @@ def _grid_window(args, result: HFunction):
     if (args.x0 is None) != (args.width is None):
         raise _UsageError("--x0 and --width go together")
     if args.x0 is not None:
-        return _number(args.x0, "--x0"), _number(args.width, "--width")
+        return _number(args.x0, "--x0"), _positive(args.width, "--width")
     domain = result.domain
     if domain.lo is None or domain.hi is None:
         raise DomainError("grid-converge needs --x0/--width on unbounded domains")
@@ -318,17 +329,18 @@ def cmd_grid_converge(args) -> int:
     tree = algebra.parse_operand_expr(args.expr)
     exact = algebra.eval_expr(tree, bindings)
     pointwise = algebra.eval_expr(tree, bindings, pw.pointwise_add, pw.pointwise_mul)
-    steps = [_number(h, "--h") for h in args.steps]
-    if min(steps) <= 0:
-        raise _UsageError("--h must be positive")
+    steps = [_positive(h, "--h") for h in args.steps]
     x0, width = _grid_window(args, exact)
+    nodes = [int(width / h) + 1 for h in steps]
+    if min(nodes) < 3:
+        raise _UsageError(f"the grid window of width {format_scalar(width)} "
+                          "needs at least three nodes at every --h")
     # measurement points stay a fixed margin away from every jump of the
     # sampled data, so the one-cell smear never enters the error
     margin = 2 * max(steps)
     jumps = {p.x for p in exact.points} | {p.x for p in pointwise.points}
     rows = []
-    for h in steps:
-        n = int(width / h) + 1
+    for h, n in zip(steps, nodes):
         grid = baire.grid_sample(pointwise, x0, h, n)
         smoothed = baire.grid_fis(grid)
         worst = 0.0
@@ -430,8 +442,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except EngineError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (EngineError, RecursionError) as exc:
+        message = "expression nested too deeply" if isinstance(exc, RecursionError) else exc
+        sys.stderr.write(f"error: {message}\n")
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 

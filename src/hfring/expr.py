@@ -419,30 +419,8 @@ def _compile_fun(e: Fun, exact: bool) -> Callable[[Scalar], Scalar]:
 def poly_coeffs(e: Expr) -> Optional[List[Fraction]]:
     """Ascending coefficients when the expression is a polynomial in x
     (division allowed by nonzero constants only), else None."""
-    if isinstance(e, Poly):
-        return list(e.coeffs)
-    if isinstance(e, Const):
-        return [e.value]
-    if isinstance(e, Var):
-        return [Fraction(0), Fraction(1)]
-    if isinstance(e, Neg):
-        inner = poly_coeffs(e.arg)
-        return None if inner is None else [-c for c in inner]
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        a = poly_coeffs(e.left)
-        b = None if a is None else poly_coeffs(e.right)
-        if b is None:
-            return None
-        if isinstance(e, Add):
-            return _padd(a, b)
-        if isinstance(e, Sub):
-            return _padd(a, [-c for c in b])
-        if isinstance(e, Mul):
-            return _pmul(a, b)
-        if len(b) != 1 or b[0] == 0:
-            return None
-        return [c / b[0] for c in a]
-    return None
+    reduced = _reduce(e)
+    return reduced if isinstance(reduced, list) else None
 
 
 def _trim(coeffs: List[Fraction]) -> List[Fraction]:
@@ -630,16 +608,13 @@ def count_poly_roots_inside(coeffs: List[Fraction], lo, hi) -> int:
 
 
 def canonical(e: Expr) -> Expr:
-    """Canonicalize: polynomial subtrees become coefficient form (`Const`,
-    `X` or `Poly`); constant subtrees fold; additive/multiplicative
-    identities drop out.  Structural equality of canonical polynomials is
-    coefficient equality."""
+    """Canonicalize in one bottom-up pass (`_reduce`): polynomial subtrees
+    become coefficient form (`Const`, `X` or `Poly`); constant subtrees fold;
+    additive/multiplicative identities drop out.  Structural equality of
+    canonical polynomials is coefficient equality."""
     if isinstance(e, _COEFF_FORMS):
         return e
-    coeffs = poly_coeffs(e)
-    if coeffs is not None:
-        return poly_expr(coeffs)
-    return _fold(e)
+    return _node(e, _reduce(e))
 
 
 def poly_expr(coeffs: Sequence[Fraction]) -> Expr:
@@ -652,27 +627,44 @@ def poly_expr(coeffs: Sequence[Fraction]) -> Expr:
     return Poly(tuple(coeffs))
 
 
-def _fold(e: Expr) -> Expr:
+def _reduce(e: Expr) -> Union[List[Fraction], Expr]:
+    """The step under `canonical` and `poly_coeffs`, run once per node from
+    the leaves up: the ascending coefficients of a polynomial subtree, else
+    the subtree's canonical node."""
+    if isinstance(e, Const):
+        return [e.value]
+    if isinstance(e, Var):
+        return [Fraction(0), Fraction(1)]
+    if isinstance(e, Poly):
+        return list(e.coeffs)
+    if isinstance(e, Fun):
+        return Fun(e.name, _node(e.arg, _reduce(e.arg)))
     if isinstance(e, Neg):
-        arg = canonical(e.arg)
-        if isinstance(arg, Const):
+        arg = _reduce(e.arg)
+        if isinstance(arg, list):
+            return [-c for c in arg]
+        if isinstance(arg, Const):  # a collapsed operand, as in -(0*sin(x) + 2)
             return Const(-arg.value)
         if isinstance(arg, Neg):
             return arg.arg
         return Neg(arg)
-    if isinstance(e, Fun):
-        return Fun(e.name, canonical(e.arg))
-    left = canonical(e.left)
-    right = canonical(e.right)
-    if isinstance(left, Const) and isinstance(right, Const):
+    if not isinstance(e, (Add, Sub, Mul, Div)):
+        raise TypeError(f"not an expression: {e!r}")
+    a, b = _reduce(e.left), _reduce(e.right)
+    if isinstance(a, list) and isinstance(b, list):
         if isinstance(e, Add):
-            return Const(left.value + right.value)
+            return _padd(a, b)
         if isinstance(e, Sub):
-            return Const(left.value - right.value)
+            return _padd(a, [-c for c in b])
         if isinstance(e, Mul):
-            return Const(left.value * right.value)
-        if right.value != 0:
-            return Const(left.value / right.value)
+            return _pmul(a, b)
+        if len(b) == 1 and b[0] != 0:
+            return [c / b[0] for c in a]
+    left, right = _node(e.left, a), _node(e.right, b)
+    if isinstance(left, Const) and isinstance(right, Const) and Const in (type(a), type(b)):
+        # an operand that is not a polynomial collapsed to a constant, as in
+        # 0*sin(x) - 1: fold the two constants
+        return canonical(type(e)(left, right))
     if isinstance(e, Add):
         if left == ZERO:
             return right
@@ -691,11 +683,17 @@ def _fold(e: Expr) -> Expr:
         if right == ONE:
             return left
         return Mul(left, right)
-    if isinstance(e, Div):
-        if right == ONE:
-            return left
-        return Div(left, right)
-    raise TypeError(f"not an expression: {e!r}")
+    if right == ONE:
+        return left
+    return Div(left, right)
+
+
+def _node(e: Expr, reduced: Union[List[Fraction], Expr]) -> Expr:
+    """The canonical node of ``e`` from ``_reduce(e)``; a coefficient form
+    is its own."""
+    if not isinstance(reduced, list):
+        return reduced
+    return e if isinstance(e, _COEFF_FORMS) else poly_expr(reduced)
 
 
 def add(a: Expr, b: Expr) -> Expr:

@@ -775,8 +775,9 @@ def side_envelopes(f: HFunction, i: int) -> Tuple[EndEnvelope, EndEnvelope, EndE
 def completion_bounds(f: HFunction, i: int, with_point: bool) -> Tuple[Scalar, Scalar]:
     """(min of the lower data, max of the upper data) at special point i:
     the abutting envelopes, and the point value itself when ``with_point``.
-    Every completion and envelope-operator value at a breakpoint is read
-    from here."""
+    `completion_at`, `punctured_completion_at` and the envelope operators
+    (`baire.lower_baire`, `baire.upper_baire`) read their breakpoint values
+    from here; `baire.fis` and `baire.fsi` read `side_envelopes` directly."""
     ll, lr, ul, ur = side_envelopes(f, i)
     lo = min(ll.liminf, lr.liminf)
     hi = max(ul.limsup, ur.limsup)

@@ -3,16 +3,12 @@ import random
 
 import pytest
 
-from hfring import algebra, baire
+from hfring import algebra, baire, scalars
 from hfring import expr as ex
 from hfring import interval as iv
 from hfring import piecewise as pw
 from hfring import suite
-from hfring.errors import (
-    InternalConsistencyError,
-    NotHausdorffContinuous,
-    UnboundOperandError,
-)
+from hfring.errors import NotHausdorffContinuous, UnboundOperandError
 from hfring.interval import Interval
 from hfring.piecewise import DenseSubsetSpec, Domain
 
@@ -64,7 +60,17 @@ class TestRingOps:
         assert pw.func_equal(r1.result, zero)
         assert pw.func_equal(r2.result, zero)
         assert r1.pointwise.eval_at(0) == Interval.of(-1, 1)
-        assert pw.func_equal(r1.witnesses["fis"], r1.witnesses["fsi"])
+        assert pw.func_equal(r1.result, baire.fsi(r1.pointwise))
+
+    @pytest.mark.parametrize("mode", [scalars.RATIONAL, scalars.FLOAT])
+    def test_def1_is_both_completions(self, mode):
+        # route 1 computes F(I(S(.))) only; F(S(I(.))) gives the same function
+        with scalars.engine_mode(mode, 1e-9):
+            functions = suite.h_continuous_suite(8201, 41)
+            for f, g in zip(functions, functions[1:]):
+                for op in (algebra.oplus_def1, algebra.otimes_def1):
+                    report = op(f, g)
+                    assert pw.func_equal(report.result, baire.fsi(report.pointwise))
 
     def test_step_product(self, step_pair):
         f, g = step_pair

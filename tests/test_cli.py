@@ -205,6 +205,23 @@ class TestOp:
         assert cli.main(argv + ["-o", str(tmp_path / "r.json")]) == 0
         assert calls == [2048, 2048]
 
+    @pytest.mark.parametrize("depth, expr, expect", [
+        (330, "f + g", 0),
+        # each operation nests the result one level deeper
+        (450, "f" + " + g" * 300, 2),
+    ], ids=["deep-piece", "deep-result"])
+    def test_operations_on_a_deep_piece(self, tmp_path, depth, expr, expect):
+        path = tmp_path / "defs.json"
+        path.write_text(json.dumps({"functions": {
+            "f": {"domain": [0, 1], "points": [],
+                  "pieces": [{"on": [0, 1], "lower": "sin(" * depth + "x" + ")" * depth}]},
+            "g": {"domain": [0, 1], "pieces": [{"on": [0, 1], "lower": "x"}], "points": []},
+        }}))
+        result = run_cli("--mode", "float", "op", str(path), expr, expect=expect)
+        if expect:
+            assert "error: expression nested too deeply" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_deep_nesting_within_the_recursion_limit(self):
         nested = run_cli("op", STEP, "(" * 400 + "f" + ")" * 400)
         assert nested.stdout == run_cli("op", STEP, "f").stdout
@@ -461,11 +478,20 @@ def _exit_code(argv):
     ["sample", STEP, "f", "0", "1/2", "0", "OUT"],
     ["compare-defs", STEP, "f", "g", "--ops", ",", "--out-csv", "OUT"],
     ["grid-converge", STEP, "f + g", "--h", "1/8", "0", "--x0", "-1", "--width", "2"],
+    ["sample", STEP, "f", "0", "0", "3", "OUT"],
+    ["sample", STEP, "f", "0", "-1/4", "3", "OUT"],
+    ["verify-ring", "--count", "2", "--domain", "1", "-1"],
+    ["verify-ring", "--count", "2", "--domain", "0", "0"],
+    ["grid-converge", STEP, "f + g", "--h", "1/8", "--x0", "0", "--width", "-1"],
+    ["grid-converge", STEP, "f + g", "--h", "1/8", "--x0", "0", "--width", "0"],
+    ["grid-converge", STEP, "f + g", "--h", "1/8", "1/5", "--x0", "0", "--width", "1/4"],
 ], ids=["eval", "eval-float-range", "sample-h", "sample-x0", "verify-ring-domain",
         "grid-h", "grid-width", "grid-x0-alone", "op-declare", "compare-tol", "compare-depth",
         "tol-zero", "tol-negative", "tol-nan", "tol-inf", "max-jumps-negative", "count-zero",
         "op-depth-zero", "compare-depth-zero", "compare-tol-nan", "compare-tol-negative",
-        "sample-n-zero", "compare-no-ops", "grid-h-zero"])
+        "sample-n-zero", "compare-no-ops", "grid-h-zero", "sample-h-zero", "sample-h-negative",
+        "domain-reversed", "domain-empty", "grid-width-negative", "grid-width-zero",
+        "grid-two-nodes"])
 def test_bad_number_exit_2(argv, tmp_path, capsys):
     argv = [str(tmp_path / "out.csv") if arg == "OUT" else arg for arg in argv]
     assert _exit_code(argv) == 2

@@ -305,6 +305,88 @@ def _reference_evaluate(e, x):
     raise TypeError(f"not an expression: {e!r}")
 
 
+def _reference_poly_coeffs(e):
+    """`poly_coeffs` as its own recursive walk, before `canonical` shared one
+    bottom-up step with it."""
+    if isinstance(e, ex.Poly):
+        return list(e.coeffs)
+    if isinstance(e, ex.Const):
+        return [e.value]
+    if isinstance(e, ex.Var):
+        return [Fraction(0), Fraction(1)]
+    if isinstance(e, ex.Neg):
+        inner = _reference_poly_coeffs(e.arg)
+        return None if inner is None else [-c for c in inner]
+    if isinstance(e, (ex.Add, ex.Sub, ex.Mul, ex.Div)):
+        a = _reference_poly_coeffs(e.left)
+        b = None if a is None else _reference_poly_coeffs(e.right)
+        if b is None:
+            return None
+        if isinstance(e, ex.Add):
+            return ex._padd(a, b)
+        if isinstance(e, ex.Sub):
+            return ex._padd(a, [-c for c in b])
+        if isinstance(e, ex.Mul):
+            return ex._pmul(a, b)
+        if len(b) != 1 or b[0] == 0:
+            return None
+        return [c / b[0] for c in a]
+    return None
+
+
+def _reference_canonical(e):
+    """The two walks `canonical` replaced: `_reference_poly_coeffs` at every
+    level of a non-polynomial tree, then a fold of the identities."""
+    if isinstance(e, (ex.Const, ex.Var, ex.Poly)):
+        return e
+    coeffs = _reference_poly_coeffs(e)
+    if coeffs is not None:
+        return ex.poly_expr(coeffs)
+    if isinstance(e, ex.Neg):
+        arg = _reference_canonical(e.arg)
+        if isinstance(arg, ex.Const):
+            return ex.Const(-arg.value)
+        if isinstance(arg, ex.Neg):
+            return arg.arg
+        return ex.Neg(arg)
+    if isinstance(e, ex.Fun):
+        return ex.Fun(e.name, _reference_canonical(e.arg))
+    left = _reference_canonical(e.left)
+    right = _reference_canonical(e.right)
+    if isinstance(left, ex.Const) and isinstance(right, ex.Const):
+        if isinstance(e, ex.Add):
+            return ex.Const(left.value + right.value)
+        if isinstance(e, ex.Sub):
+            return ex.Const(left.value - right.value)
+        if isinstance(e, ex.Mul):
+            return ex.Const(left.value * right.value)
+        if right.value != 0:
+            return ex.Const(left.value / right.value)
+    if isinstance(e, ex.Add):
+        if left == ex.ZERO:
+            return right
+        if right == ex.ZERO:
+            return left
+        return ex.Add(left, right)
+    if isinstance(e, ex.Sub):
+        if right == ex.ZERO:
+            return left
+        return ex.Sub(left, right)
+    if isinstance(e, ex.Mul):
+        if left == ex.ZERO or right == ex.ZERO:
+            return ex.ZERO
+        if left == ex.ONE:
+            return right
+        if right == ex.ONE:
+            return left
+        return ex.Mul(left, right)
+    if isinstance(e, ex.Div):
+        if right == ex.ONE:
+            return left
+        return ex.Div(left, right)
+    raise TypeError(f"not an expression: {e!r}")
+
+
 def _reference_eval_finite(e, x):
     value = _reference_evaluate(e, x)
     if isinstance(value, float) and not math.isfinite(value):
@@ -323,7 +405,7 @@ def _outcome(fn, *args):
 
 
 _fractions = st.fractions(min_value=-9, max_value=9, max_denominator=4)
-_leaves = st.one_of(
+_expr_leaves = st.one_of(
     _fractions.map(ex.Const),
     st.just(ex.X),
     st.lists(_fractions, min_size=2, max_size=4)
@@ -331,19 +413,25 @@ _leaves = st.one_of(
     .map(lambda cs: ex.Poly(tuple(cs))),
     # beyond the float range: the conversion raises when evaluated in float mode
     st.sampled_from([ex.Const(Fraction(10**400)), ex.Poly((Fraction(1), Fraction(10**400)))]),
-    # not an expression: TypeError when reached
-    st.just("junk"),
 )
-_trees = st.recursive(
-    _leaves,
-    lambda inner: st.one_of(
-        st.tuples(st.sampled_from([ex.Add, ex.Sub, ex.Mul, ex.Div]), inner, inner)
-        .map(lambda t: t[0](t[1], t[2])),
-        inner.map(ex.Neg),
-        st.tuples(st.sampled_from(ex.FUNCTIONS), inner).map(lambda t: ex.Fun(*t)),
-    ),
-    max_leaves=12,
-)
+
+
+def _trees_over(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.tuples(st.sampled_from([ex.Add, ex.Sub, ex.Mul, ex.Div]), inner, inner)
+            .map(lambda t: t[0](t[1], t[2])),
+            inner.map(ex.Neg),
+            st.tuples(st.sampled_from(ex.FUNCTIONS), inner).map(lambda t: ex.Fun(*t)),
+        ),
+        max_leaves=12,
+    )
+
+
+_expr_trees = _trees_over(_expr_leaves)
+# with a leaf that is not an expression: TypeError when reached
+_trees = _trees_over(st.one_of(_expr_leaves, st.just("junk")))
 _float_points = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, math.inf, -math.inf, math.nan]),
     st.floats(min_value=-20, max_value=20),
@@ -360,6 +448,30 @@ def test_evaluator_is_the_interpreter(tree, mode, data):
         compiled = ex.evaluator(tree)
         for x in xs:
             assert _outcome(compiled, x) == _outcome(_reference_eval_finite, tree, x)
+
+
+@settings(max_examples=600, deadline=None)
+@given(tree=_expr_trees)
+def test_canonical_is_the_two_walk_reference(tree):
+    assert _outcome(ex.canonical, tree) == _outcome(_reference_canonical, tree)
+    assert _outcome(ex.poly_coeffs, tree) == _outcome(_reference_poly_coeffs, tree)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("sin(x) + 0", ex.Fun("sin", ex.X)),
+    ("sin(x) - 0", ex.Fun("sin", ex.X)),
+    # a non-polynomial operand that collapses to a constant still folds
+    ("0*sin(x) - 1", ex.const(-1)),
+    ("-(0*sin(x) + 2)", ex.const(-2)),
+])
+def test_canonical_identities(text, expected):
+    tree = ex.parse(text)
+    assert ex.canonical(tree) == _reference_canonical(tree) == expected
+    assert ex.poly_coeffs(tree) is None
+
+
+def test_rational_coeffs_of_a_negation():
+    assert ex.rational_coeffs(ex.parse("-(1/x)")) == ([Fraction(-1)], [Fraction(0), Fraction(1)])
 
 
 def _count_compiles(monkeypatch):
