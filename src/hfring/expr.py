@@ -594,12 +594,40 @@ def count_poly_roots_inside(coeffs: List[Fraction], lo, hi) -> int:
             return _variations([_sign_at_infinity(q, positive_inf) for q in chain])
         return _variations([_sign_at(q, x) for q in chain])
 
-    lo_f = Fraction(str(lo)) if lo is not None and not isinstance(lo, Fraction) else lo
-    hi_f = Fraction(str(hi)) if hi is not None and not isinstance(hi, Fraction) else hi
+    lo_f, hi_f = exact(lo), exact(hi)
     count = variations_at(lo_f, False) - variations_at(hi_f, True)
     if hi_f is not None and _sign_at(square_free, hi_f) == 0:
         count -= 1  # root exactly at the open right end does not count
     return max(0, count)
+
+
+def exact(x):
+    """x as a Fraction, a float read by its shortest repr; None stays None."""
+    return Fraction(str(x)) if x is not None and not isinstance(x, Fraction) else x
+
+
+def poly_nonnegative(coeffs: List[Fraction], lo, hi) -> bool:
+    """p >= 0 on the open interval (lo, hi), decided exactly; None bounds
+    mean +/- infinity.  p changes sign at its roots of odd multiplicity,
+    whose number is the alternating sum of the root counts of p, gcd(p, p'),
+    the gcd of that with its own derivative, and so on.  With none, p has
+    one sign off its roots: its sign at the first of deg + 1 probes that is
+    not a root."""
+    p = _trim(list(coeffs))
+    odd, sign, member = 0, 1, p
+    while len(member) > 1:
+        odd += sign * count_poly_roots_inside(member, lo, hi)
+        sign, member = -sign, _poly_gcd(member, _poly_derivative(member))
+    if odd:
+        return False
+    # the probes split a finite window [a, b] of the interval evenly
+    a = exact(lo) if lo is not None else (exact(hi) if hi is not None else 0) - len(p)
+    b = exact(hi) if hi is not None else a + 2 * len(p)
+    for k in range(1, len(p) + 1):
+        value = poly_eval(p, a + (b - a) * Fraction(k, len(p) + 1))
+        if value != 0:
+            return value > 0
+    return True  # p is identically zero
 
 
 # ---------------------------------------------------------------------------

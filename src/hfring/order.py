@@ -1,5 +1,5 @@
-"""Partial order, order convergence, and the order-limit construction of
-the ring operations.
+"""Partial order (`func_leq`, decided exactly on rational pieces), order
+convergence, and the order-limit construction of the ring operations.
 
 Approximating sequences are realized by slope-n inf-convolution from
 below: continuous piecewise-linear functions, increasing in n, that
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import algebra, baire
@@ -67,11 +66,10 @@ from .scalars import Scalar, comparison_slack, get_mode, get_tolerance, scalar_e
 
 
 def func_leq(f: HFunction, g: HFunction) -> bool:
-    """f <= g in the pointwise interval order.
-
-    Exact for piecewise-linear operands (endpoint/slope comparison piece by
-    piece); otherwise checked at the special points plus deterministic
-    samples of every piece.
+    """f <= g in the pointwise interval order: the special point values
+    compare as intervals, and on every aligned piece each bound difference
+    g - f is >= -``comparison_slack()`` by `piecewise.nonnegative_on`,
+    exactly where both bounds are rational.
     """
     f, g = pw.align(f, g)
     for p, q in zip(f.points, g.points):
@@ -79,39 +77,10 @@ def func_leq(f: HFunction, g: HFunction) -> bool:
             return False
     for a, b in zip(f.pieces, g.pieces):
         for ea, eb in ((a.lower.expr, b.lower.expr), (a.upper.expr, b.upper.expr)):
-            if ex.is_linear(ea) and ex.is_linear(eb):
-                if not _linear_leq(ea, eb, a.lo, a.hi):
-                    return False
-            else:
-                if not _sampled_leq(ea, eb, a.lo, a.hi):
-                    return False
-    return True
-
-
-def _linear_leq(ea, eb, lo, hi) -> bool:
-    sa, ca = ex.linear_coeffs(ea)
-    sb, cb = ex.linear_coeffs(eb)
-    ds, dc = sb - sa, cb - ca  # difference eb - ea must be >= 0 on (lo, hi)
-    tol = comparison_slack()
-
-    def val(x):
-        return ds * x + dc
-
-    if lo is None and hi is None:
-        return ds == 0 and dc >= -tol
-    if lo is None:
-        return ds <= 0 and val(hi) >= -tol
-    if hi is None:
-        return ds >= 0 and val(lo) >= -tol
-    return val(lo) >= -tol and val(hi) >= -tol
-
-
-def _sampled_leq(ea, eb, lo, hi) -> bool:
-    tol = comparison_slack()
-    value_a, value_b = ex.evaluator(ea), ex.evaluator(eb)
-    for x in pw._span_samples(lo, hi, 64, tag=("leq", str(lo), str(hi))):
-        if value_a(x) > value_b(x) + tol:
-            return False
+            if not pw.nonnegative_on(
+                ex.Sub(eb, ea), a.lo, a.hi, ("leq", str(a.lo), str(a.hi)), comparison_slack()
+            ):
+                return False
     return True
 
 
@@ -192,7 +161,7 @@ def infconv_approx(f: HFunction, n: int) -> HFunction:
                 if pieces:
                     v = s * lo + c
                     points.append((lo, Interval(v, v)))
-                expr = ex.poly_expr([_as_fraction(c), _as_fraction(s)])
+                expr = ex.poly_expr([ex.exact(c), ex.exact(s)])
                 pieces.append(pw.make_piece(lo, hi, expr))
     return pw.normalize(pw.hfunction(f.domain, points, pieces, validate=False))
 
@@ -209,10 +178,6 @@ def _clip(x: Scalar, lo: Optional[Scalar], hi: Optional[Scalar]) -> Scalar:
     if hi is not None and (hi < x or scalar_eq(x, hi)):
         return hi
     return x
-
-
-def _as_fraction(v: Scalar) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(str(v))
 
 
 # ---------------------------------------------------------------------------

@@ -469,48 +469,58 @@ def hfunction(
     return f
 
 
-_VALIDATE_SAMPLES = 64  # samples per piece
+_PIECE_SAMPLES = 64  # samples per piece of a sampled check
 
 
 def validate_function(f: HFunction) -> None:
-    """Representation checks: pieces evaluable and finite (no poles
-    inside), lower <= upper pointwise, interior envelopes present.  The
-    first two are sampled (``_VALIDATE_SAMPLES`` per piece), except on real
-    polynomial pieces in rational mode, where they hold by construction."""
-    tol = comparison_slack()
+    """Representation checks: no rational denominator vanishes inside a
+    piece, lower <= upper pointwise (`nonnegative_on`), pieces evaluable and
+    finite, interior envelopes present.  Evaluability is sampled in float
+    mode, and in rational mode on transcendental pieces only: a rational
+    piece whose denominators keep clear of 0 is finite everywhere."""
     for i, piece in enumerate(f.pieces):
         for bound in piece.bounds:
             for den in ex.div_denominators(bound.expr):
-                coeffs = ex.poly_coeffs(den)
-                if coeffs is not None and ex.count_poly_roots_inside(
-                    coeffs, piece.lo, piece.hi
+                rational = ex.rational_coeffs(den)
+                if rational is not None and (
+                    rational[0] == [0]
+                    or ex.count_poly_roots_inside(rational[0], piece.lo, piece.hi)
                 ):
                     raise PieceError(
-                        f"denominator {ex.to_text(den)} vanishes inside "
-                        f"({piece.lo!r}, {piece.hi!r})"
+                        f"division by zero: denominator {ex.to_text(den)} vanishes "
+                        f"inside ({piece.lo!r}, {piece.hi!r})"
                     )
-        if (get_mode() == RATIONAL and piece.is_real
-                and ex.poly_coeffs(piece.lower.expr) is not None):
-            samples = []  # finite everywhere and lower is upper: no sample can fail
-        else:
-            samples = _span_samples(piece.lo, piece.hi, _VALIDATE_SAMPLES, tag=("validate", i))
-        for x in samples:
-            try:
-                lo_raw, hi_raw = piece.bound_values(x)
-            except ExprEvalError as exc:
-                raise PieceError(
-                    f"piece on ({piece.lo!r}, {piece.hi!r}) not evaluable at {x!r}: {exc}"
-                ) from exc
-            if lo_raw > hi_raw + tol:
-                raise PieceError(
-                    f"lower bound above upper bound at {x!r} on piece "
-                    f"({piece.lo!r}, {piece.hi!r})"
-                )
+        if get_mode() == FLOAT or piece.kind == "transcendental":
+            for x in _span_samples(piece.lo, piece.hi, _PIECE_SAMPLES, tag=("validate", i)):
+                try:
+                    piece.bound_values(x)
+                except ExprEvalError as exc:
+                    raise PieceError(
+                        f"piece on ({piece.lo!r}, {piece.hi!r}) not evaluable at {x!r}: {exc}"
+                    ) from exc
+        if not piece.is_real and not nonnegative_on(
+            ex.Sub(piece.upper.expr, piece.lower.expr), piece.lo, piece.hi,
+            ("validate", i), comparison_slack(),
+        ):
+            raise PieceError(
+                f"lower bound above upper bound on piece ({piece.lo!r}, {piece.hi!r})"
+            )
         left_interior = i > 0
         right_interior = i < len(f.pieces) - 1
         for bound in piece.bounds:
             if (left_interior and bound.left is None) or (right_interior and bound.right is None):
                 raise EnvelopeError("missing envelope at an interior special point")
+
+
+def nonnegative_on(e: ex.Expr, lo: Optional[Scalar], hi: Optional[Scalar], tag, slack) -> bool:
+    """e >= -slack on (lo, hi): exact for a rational e, as the sign of
+    (num + slack*den)*den; at seeded samples drawn under ``tag`` for a
+    transcendental e, which only float mode evaluates."""
+    rational = ex.rational_coeffs(ex.Add(e, ex.const(slack)))
+    if rational is not None:
+        return ex.poly_nonnegative(ex._pmul(*rational), lo, hi)
+    value = ex.evaluator(e)
+    return all(value(x) >= -slack for x in _span_samples(lo, hi, _PIECE_SAMPLES, tag=tag))
 
 
 def _span_samples(
@@ -708,9 +718,10 @@ def pointwise_mul(f: HFunction, g: HFunction) -> HFunction:
 
     Real-valued pieces multiply symbolically.  For proper interval pieces
     the product bounds are min/max of the four bound products; the engine
-    picks the winning product expression by sampling and refuses (with a
-    RepresentationError) when no single product wins across the piece,
-    since min/max shapes are outside the expression grammar.
+    picks the product that stays lowest (highest) across the piece by
+    `nonnegative_on`, exactly for rational bounds, and raises
+    RepresentationError, naming the piece, when no single product wins
+    across it: min/max shapes are outside the expression grammar.
     """
     f, g = align(f, g)
     points = [
@@ -730,30 +741,25 @@ def pointwise_mul(f: HFunction, g: HFunction) -> HFunction:
 def _mul_proper_pieces(a: Piece, b: Piece) -> Piece:
     factors = [(p, q) for p in (a.lower, a.upper) for q in (b.lower, b.upper)]
     products = [ex.mul(p.expr, q.expr) for p, q in factors]
-    xs = _span_samples(a.lo, a.hi, 65, tag=("mulpick", str(a.lo), str(a.hi)))
-    values_at = [ex.evaluator(c) for c in products]
-    rows = [[value_at(x) for value_at in values_at] for x in xs]
-    low_idx = _consistent_winner(rows, min)
-    high_idx = _consistent_winner(rows, max)
+    tag = ("mulpick", str(a.lo), str(a.hi))
+
+    def lowest(candidates: List[ex.Expr]) -> Optional[int]:
+        for k, low in enumerate(candidates):
+            if all(other is low or nonnegative_on(ex.Sub(other, low), a.lo, a.hi, tag, 0)
+                   for other in candidates):
+                return k
+        return None
+
+    low_idx = lowest(products)
+    high_idx = lowest([ex.Neg(c) for c in products])
     if low_idx is None or high_idx is None:
         raise RepresentationError(
-            "product bounds change shape inside a proper interval piece; "
-            "insert a breakpoint where the winning product changes"
+            f"product bounds change shape inside the proper interval piece "
+            f"({a.lo}, {a.hi}); insert a breakpoint where the winning product changes"
         )
 
-    def bound(k: int) -> Bound:
-        return _combine(*factors[k], operator.mul, products[k])
-
-    lower = bound(low_idx)
-    upper = lower if products[high_idx] == lower.expr else bound(high_idx)
-    return Piece(a.lo, a.hi, lower, upper)
-
-
-def _consistent_winner(rows, pick) -> Optional[int]:
-    for idx in range(4):
-        if all(row[idx] == pick(row) for row in rows):
-            return idx
-    return None
+    lower, upper = (_combine(*factors[k], operator.mul, products[k]) for k in (low_idx, high_idx))
+    return Piece(a.lo, a.hi, lower, lower if upper.expr == lower.expr else upper)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,16 @@ class TestEval:
         assert "division by zero" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("command", [["validate"], ["eval", "f", "1"]], ids=["validate", "eval"])
+    def test_rational_denominator_vanishing_inside_a_piece_exit_2(self, tmp_path, command):
+        defs = tmp_path / "defs.json"
+        defs.write_text(json.dumps({"functions": {"f": {
+            "domain": [0, 2], "pieces": [{"on": [0, 2], "lower": "1/((x-1)/x)"}], "points": [],
+        }}}))
+        result = run_cli(command[0], str(defs), *command[1:], expect=2)
+        assert "cannot load" in result.stderr
+        assert "division by zero" in result.stderr
+
     def test_deeply_nested_piece(self, tmp_path):
         outputs = []
         for piece in ("x", "(" * 400 + "x" + ")" * 400):

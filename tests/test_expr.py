@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hfring import expr as ex
 from hfring import piecewise as pw
@@ -262,6 +262,19 @@ class TestAnalysis:
         assert ex.count_poly_roots_inside(coeffs, Fraction(0), Fraction(1)) == 0
         assert ex.count_poly_roots_inside(coeffs, Fraction(1), None) == 0
         assert ex.count_poly_roots_inside(coeffs, None, None) == 2
+
+    def test_poly_nonnegative(self):
+        def nonneg(text, lo, hi):
+            return ex.poly_nonnegative(ex.poly_coeffs(ex.parse(text)), lo, hi)
+
+        assert nonneg("x*x", Fraction(-1), Fraction(1))  # touches 0, no sign change
+        assert not nonneg("x*x - 1/1000000000000", Fraction(-1), Fraction(1))
+        assert not nonneg("-(x-1)*(x-1)", Fraction(0), Fraction(4))  # first probe is the root
+        assert nonneg("(x-1)*(x-1)*(x+2)", Fraction(-2), None)  # root at the open end
+        assert not nonneg("(x-1)*(x-1)*(x+2)", None, None)
+        assert not nonneg("-1", None, None)
+        assert nonneg("0", None, None)
+        assert nonneg("(x*x + 1)*(x - 3)*(x - 3)*(x - 3)", 3.0, None)
 
 
 def _reference_evaluate(e, x):
@@ -581,3 +594,32 @@ def test_coefficient_form_add_and_mul_are_the_tree_route(a, b, mode):
     with scalars.engine_mode(mode):
         assert _typed_node(ex.add(a, b)) == _typed_node(ex.canonical(ex.Add(a, b)))
         assert _typed_node(ex.mul(a, b)) == _typed_node(ex.canonical(ex.Mul(a, b)))
+
+
+_roots = st.lists(
+    st.tuples(st.fractions(-3, 3, max_denominator=8), st.integers(1, 4)),
+    max_size=4, unique_by=lambda root: root[0],
+)
+_ends = st.one_of(st.none(), st.fractions(-4, 4, max_denominator=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scale=st.fractions(-5, 5, max_denominator=7).filter(lambda c: c != 0),
+       roots=_roots, square=st.booleans(), lo=_ends, hi=_ends)
+def test_poly_nonnegative_is_the_sign_at_every_probe(scale, roots, square, lo, hi):
+    if lo is not None and hi is not None:
+        assume(lo < hi)
+    coeffs = [scale, 0, scale] if square else [scale]  # c*(x^2 + 1) or c
+    for r, m in roots:
+        for _ in range(m):
+            coeffs = ex._pmul(coeffs, [-r, Fraction(1)])
+    # distinct roots and ends are >= 1/64 apart, so the 10^-6 neighbours of
+    # each root see the sign on both of its sides
+    xs = [r + d for r, _ in roots for d in (Fraction(1, 10**6), Fraction(-1, 10**6))]
+    anchors = [r for r, _ in roots] + [x for x in (lo, hi) if x is not None] + [Fraction(0)]
+    a = lo if lo is not None else min(anchors) - 1
+    b = hi if hi is not None else max(anchors) + 1
+    xs += [a + (b - a) * Fraction(k, 2001) for k in range(1, 2001)]
+    inside = [x for x in xs if (lo is None or x > lo) and (hi is None or x < hi)]
+    expected = all(ex.poly_eval(coeffs, x) >= 0 for x in inside)
+    assert ex.poly_nonnegative(coeffs, lo, hi) == expected

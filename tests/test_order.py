@@ -55,6 +55,20 @@ class TestFuncLeq:
         assert order.func_leq(a, b)
         assert not order.func_leq(a, c)  # slopes differ on the whole line
 
+    @staticmethod
+    def _zero_and(text):
+        dom = Domain.of(-1, 1)
+        real = pw.hfunction(dom, [], [pw.make_piece(F(-1), F(1), ex.parse(text))])
+        return pw.constant_function(dom, 0), real
+
+    def test_a_dip_between_samples_is_seen(self):
+        assert not order.func_leq(*self._zero_and("x*x - 1/1000000000000"))
+        assert order.func_leq(*self._zero_and("x*x"))  # touches 0 without changing sign
+
+    def test_float_slack_covers_a_dip_within_the_tolerance(self, float_mode):
+        assert order.func_leq(*self._zero_and("x*x - 1/1000000000000"))
+        assert not order.func_leq(*self._zero_and("x*x - 1/100000000"))
+
 
 def _from_above(f, n):
     """The reflection of the inf-convolution: the upper bound regularized from above."""

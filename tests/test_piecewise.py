@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from hfring import expr as ex
 from hfring import interval as iv
 from hfring import piecewise as pw
-from hfring import algebra, baire, formats, scalars, suite
+from hfring import algebra, baire, formats, order, scalars, suite
 from hfring.errors import (
     DomainError,
     EngineError,
@@ -78,6 +78,12 @@ class TestEvalAt:
         with scalars.engine_mode(scalars.FLOAT):
             with pytest.raises(AssertionError, match="sampled"):
                 formats.hfunction_from_json(data)
+
+    def test_lower_above_upper_between_samples_rejected(self):
+        # upper - lower = x*x - 1/10^12 dips below 0 only on |x| < 10^-6
+        with pytest.raises(PieceError, match="lower bound above upper bound"):
+            pw.hfunction(Domain.of(-1, 1), [], [pw.make_piece(
+                F(-1), F(1), ex.parse("0"), ex.parse("x*x - 1/1000000000000"))])
 
     def test_transcendental_piece_rejected_in_rational_mode(self):
         with pytest.raises(PieceError):
@@ -576,6 +582,16 @@ class TestPointwiseOps:
         with pytest.raises(RepresentationError):
             pw.pointwise_mul(a, a)
 
+    def test_mul_sees_a_winner_change_between_samples(self):
+        # 0 * (x - 999999/1000000) and 1 * (x - 999999/1000000) trade places
+        # a millionth before the piece end, so neither is lowest throughout
+        dom = Domain.of(0, 1)
+        a = pw.constant_function(dom, Interval.of(0, 1))
+        b = pw.hfunction(dom, [], [
+            pw.make_piece(F(0), F(1), ex.parse("x - 999999/1000000"), ex.parse("2"))])
+        with pytest.raises(RepresentationError, match=r"piece \(0, 1\)"):
+            pw.pointwise_mul(a, b)
+
 
 def _combine_env_box(a, b, box_op):
     """Reference: the envelope calculus on boxes for every pair of
@@ -899,3 +915,32 @@ class TestPieceContinuity:
                     value_at = ex.evaluator(piece.lower.expr)
                     dv = abs(value_at(x) - value_at(y))
                     assert dv <= abs(slope) * abs(x - y)
+
+
+def test_rational_mode_decides_signs_without_samples(monkeypatch):
+    sample = pw._span_samples
+
+    def only_in_float_mode(*args, **kwargs):
+        if scalars.get_mode() == scalars.RATIONAL:
+            raise AssertionError("sampled in rational mode")
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(pw, "_span_samples", only_in_float_mode)
+    proper = formats.hfunction_from_json({
+        "domain": [0, 1],
+        "pieces": [{"on": [0, 1], "lower": "1/(x + 2)", "upper": "x*x + 1"}],
+        "points": [],
+    })
+    assert proper.eval_at("1/2") == Interval.of("2/5", "5/4")
+    functions = suite.s_continuous_suite(5, 60)
+    for f, g in zip(functions, functions[1:]):
+        try:
+            pw.pointwise_mul(f, g)
+        except RepresentationError:
+            pass  # no single product wins across a proper piece
+    functions = suite.h_continuous_suite(30, 41)
+    products = [pw.pointwise_mul(f, g) for f, g in zip(functions, functions[1:])]
+    for p, q in zip(products, products[1:]):
+        order_of_pair = (order.func_leq(p, q), order.func_leq(q, p))
+        assert order_of_pair != (True, True) or pw.func_equal(p, q)
+    assert algebra.verify_ring(suite.h_continuous_suite(30, 10)).all_passed
