@@ -21,7 +21,7 @@ from . import piecewise as pw
 from .errors import EngineError, NotHausdorffContinuous, UnboundOperandError
 from .expr import _parse
 from .piecewise import DenseSubsetSpec, HFunction
-from .scalars import Scalar
+from .scalars import Scalar, format_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def extend(phi: HFunction, spec: DenseSubsetSpec) -> HFunction:
             pw.punctured_completion_at(phi, i), point.value
         ):
             raise NotHausdorffContinuous(
-                f"restriction is not Hausdorff continuous at {point.x!r}"
+                f"restriction is not Hausdorff continuous at {format_scalar(point.x)}"
             )
     return baire.graph_completion(phi, spec)
 

@@ -27,7 +27,7 @@ from . import piecewise as pw
 from .errors import DomainError, EngineError
 from .interval import Interval
 from .piecewise import DenseSubsetSpec, HFunction, Piece, SpecialPoint
-from .scalars import Scalar, scalar_eq, to_scalar
+from .scalars import Scalar, format_scalar, format_span, scalar_eq, to_scalar
 
 __all__ = [
     "DenseSubsetSpec",
@@ -177,7 +177,10 @@ def grid_sample(f: HFunction, x0, h, n: int) -> GridFunction:
     for i in range(n):
         x = x0 + i * h
         if not f.domain.contains(x):
-            raise DomainError(f"grid node {x!r} outside domain {f.domain!r}")
+            raise DomainError(
+                f"grid node {format_scalar(x)} outside domain "
+                f"{format_span(f.domain.lo, f.domain.hi)}"
+            )
         values.append(f.eval_at(x))
     return GridFunction(x0, h, tuple(values))
 

@@ -276,7 +276,7 @@ def grid_from_csv(fp: TextIO) -> GridFunction:
     for i, x in enumerate(xs):
         if not scalar_eq(x, xs[0] + i * h):
             raise EngineError(
-                f"grid CSV x values must be evenly spaced: row {i + 1} has {x!r}, "
-                f"not {xs[0] + i * h!r}"
+                f"grid CSV x values must be evenly spaced: row {i + 1} has "
+                f"{format_scalar(x)}, not {format_scalar(xs[0] + i * h)}"
             )
     return GridFunction(xs[0], h, tuple(values))

@@ -14,29 +14,30 @@ assumes no monotonicity and compares its limit with the completion route
 instead.
 
 Order limits are taken by *structure stabilization*: elements at depths
-N, 2N, 4N and 8N are compared pairwise; regions where the representation
-has stopped changing supply the limit's pieces, while the shrinking
-disagreement zones are extrapolated to their collapse points (zone bounds
-of regularized piecewise-linear functions move along p + c/(n-k)
-trajectories, whose limit three doubling samples determine exactly) and
-the limit's values there are recovered by graph completion.  The elements
-and the limit's pieces are real-valued, so `baire.fis` completes the limit
-of an increasing and of a decreasing sequence alike: on such a function
-`fis` and `fsi` agree.  For
-inf-convolution sequences of piecewise-linear functions the whole
-procedure is exact in rational mode and takes no samples.  The reported
-residual is the width of the widest disagreement zone between the two
-deepest elements (0 when they agree everywhere); for inf-convolution
-sequences it shrinks like c/n.  Sequences
-whose piece expressions keep drifting (instead of their breakpoints)
-stabilize only up to the float-mode tolerance and raise ConvergenceError
-in rational mode.
+N, 2N, 4N and 8N are compared pairwise, each pair read in one merge of
+its breakpoints (`piecewise.walk`) that refines neither; regions where
+the representation has stopped changing supply the limit's pieces, while
+the shrinking disagreement zones are extrapolated to their collapse
+points (zone bounds of regularized piecewise-linear functions move along
+p + c/(n-k) trajectories, whose limit three doubling samples determine
+exactly) and the limit's values there are recovered by graph completion.
+The elements and the limit's pieces are real-valued, so `baire.fis`
+completes the limit of an increasing and of a decreasing sequence alike:
+on such a function `fis` and `fsi` agree.  For inf-convolution sequences
+of piecewise-linear functions the whole procedure is exact in rational
+mode and takes no samples.  The reported residual is the width of the
+widest disagreement zone between the two deepest elements (0 when they
+agree everywhere); for inf-convolution sequences it shrinks like c/n.
+Sequences whose piece expressions keep drifting (instead of their
+breakpoints) stabilize only up to the float-mode tolerance and raise
+ConvergenceError in rational mode.
 
 `max_deviation`, the distance the def3 route reports from the completion
-route, is an exact supremum on every aligned piece where the bound
-difference is constant, or a polynomial of degree <= 2 on a bounded piece
-(every piece of a def3 operation on a bounded domain); it samples only the
-other pieces.
+route, reads the two functions by `piecewise.walk` as well.  It is an
+exact supremum on every span between their special points where the bound
+difference is constant, or a polynomial of degree <= 2 on a bounded span
+(every span of a def3 operation on a bounded domain); it samples only the
+other spans.  `func_leq` reads the walk too.
 """
 
 from __future__ import annotations
@@ -57,7 +58,15 @@ from .errors import (
 )
 from .interval import Interval
 from .piecewise import HFunction
-from .scalars import Scalar, comparison_slack, get_mode, get_tolerance, scalar_eq, to_scalar
+from .scalars import (
+    Scalar,
+    comparison_slack,
+    format_span,
+    get_mode,
+    get_tolerance,
+    scalar_eq,
+    to_scalar,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -67,18 +76,17 @@ from .scalars import Scalar, comparison_slack, get_mode, get_tolerance, scalar_e
 
 def func_leq(f: HFunction, g: HFunction) -> bool:
     """f <= g in the pointwise interval order: the special point values
-    compare as intervals, and on every aligned piece each bound difference
-    g - f is >= -``comparison_slack()`` by `piecewise.nonnegative_on`,
-    exactly where both bounds are rational.
+    compare as intervals, and on every span of `piecewise.walk` each bound
+    difference g - f is >= -``comparison_slack()`` by
+    `piecewise.nonnegative_on`, exactly where both bounds are rational.
     """
-    f, g = pw.align(f, g)
-    for p, q in zip(f.points, g.points):
-        if not iv.leq(p.value, q.value):
-            return False
-    for a, b in zip(f.pieces, g.pieces):
+    w = pw.walk(f, g)
+    if not all(iv.leq(u, v) for _, u, v in w.points):
+        return False
+    for lo, hi, a, b in w.spans:
         for ea, eb in ((a.lower.expr, b.lower.expr), (a.upper.expr, b.upper.expr)):
             if not pw.nonnegative_on(
-                ex.Sub(eb, ea), a.lo, a.hi, ("leq", str(a.lo), str(a.hi)), comparison_slack()
+                ex.Sub(eb, ea), lo, hi, ("leq", str(lo), str(hi)), comparison_slack()
             ):
                 return False
     return True
@@ -199,25 +207,24 @@ class LimitResult:
 def _stability_zones(h_a: HFunction, h_b: HFunction):
     """Maximal spans where the two representations disagree.
 
-    One walk over the aligned pieces and points, in domain order: a zone
-    opens at the first disagreeing element and closes at the last one
-    before an element that agrees.  Pieces sharing one record as both
-    bounds compare only their lower expressions, as in `func_equal`.
+    One pass over the spans and points of `piecewise.walk`, in domain
+    order: a zone opens at the first disagreeing element and closes at the
+    last one before an element that agrees.  Pieces sharing one record as
+    both bounds compare only their lower expressions, as in `func_equal`.
     """
-    a, b = pw.align(h_a, h_b)
-    bounds = (a.domain.lo, *a.breakpoints, a.domain.hi)
+    points, spans = pw.walk(h_a, h_b)
     zones: List[Tuple[Optional[Scalar], Optional[Scalar]]] = []
     agreed = True
-    for i, (pa, pb) in enumerate(zip(a.pieces, b.pieces)):
+    for i, (lo, hi, pa, pb) in enumerate(spans):
         same_piece = pw.piece_expr_equal(
-            pa.lower.expr, pb.lower.expr, pa.lo, pa.hi, tag=("stab-lo", i)
+            pa.lower.expr, pb.lower.expr, lo, hi, tag=("stab-lo", i)
         ) and (pw._shares_records(pa, pb) or pw.piece_expr_equal(
-            pa.upper.expr, pb.upper.expr, pa.lo, pa.hi, tag=("stab-hi", i)
+            pa.upper.expr, pb.upper.expr, lo, hi, tag=("stab-hi", i)
         ))
-        elements = [(bounds[i], bounds[i + 1], same_piece)]  # (left, right, agrees)
-        if i < len(a.points):
-            same_point = iv.interval_eq(a.points[i].value, b.points[i].value)
-            elements.append((bounds[i + 1], bounds[i + 1], same_point))
+        elements = [(lo, hi, same_piece)]  # (left, right, agrees)
+        if i < len(points):
+            x, u, v = points[i]
+            elements.append((x, x, iv.interval_eq(u, v)))
         for left, right, agrees in elements:
             if not agrees:
                 start = left if agreed else zones.pop()[0]
@@ -263,7 +270,7 @@ def _collapse_points(scans, depth: int) -> List[Tuple[Scalar, Tuple[Scalar, Scal
         zone1 = zone2 and _containing_zone(z1, zone2[0], zone2[1])
         if zone2 is None or zone1 is None or None in zone2 + zone1:
             raise ConvergenceError(
-                f"zone ({l3!r}, {r3!r}) has no matching shallower zones; "
+                f"zone {format_span(l3, r3)} has no matching shallower zones; "
                 f"structure is not stabilizing at depth {depth}"
             )
         if not (zone1[0] <= zone2[0] <= l3 and r3 <= zone2[1] <= zone1[1]):
@@ -272,7 +279,7 @@ def _collapse_points(scans, depth: int) -> List[Tuple[Scalar, Tuple[Scalar, Scal
         p_right = _mobius_limit(zone1[1], zone2[1], r3)
         if p_left is None or p_right is None or not scalar_eq(p_left, p_right):
             raise ConvergenceError(
-                f"zone ({l3!r}, {r3!r}) is not collapsing to a point at depth {depth}"
+                f"zone {format_span(l3, r3)} is not collapsing to a point at depth {depth}"
             )
         eps = comparison_slack()
         if not (l3 - eps <= p_left <= r3 + eps):
@@ -460,8 +467,9 @@ def otimes_def3(f: HFunction, g: HFunction, depth: int = 4096) -> algebra.OpRepo
 def max_deviation(f: HFunction, g: HFunction) -> Scalar:
     """Supremum over the domain of the endpointwise distance between f and g.
 
-    Both are aligned to the union of their special points, where the values
-    are compared directly.  On each aligned piece each bound contributes the
+    Both are read over the union of their special points by
+    `piecewise.walk`; the values there are compared directly.  On each span
+    between them each bound contributes the
     sup of |difference|: 0 for identical expressions, |c| for a constant
     difference c, and for a polynomial difference of degree <= 2 on a
     bounded piece the largest |difference| at the two ends (one-sided
@@ -469,17 +477,17 @@ def max_deviation(f: HFunction, g: HFunction) -> Scalar:
     non-polynomial, or a non-constant difference on an unbounded piece)
     falls back to deterministic samples, 1000 spread over the pieces.
     """
-    f, g = pw.align(f, g)
+    points, spans = pw.walk(f, g)
     worst = to_scalar(0)
-    for p, q in zip(f.points, g.points):
-        worst = max(worst, iv.distance(p.value, q.value))
-    per_piece = max(1, 1000 // len(f.pieces))
-    for i, (a, b) in enumerate(zip(f.pieces, g.pieces)):
+    for _, u, v in points:
+        worst = max(worst, iv.distance(u, v))
+    per_piece = max(1, 1000 // len(spans))
+    for i, (lo, hi, a, b) in enumerate(spans):
         for bound, ea, eb in (
             ("lower", a.lower.expr, b.lower.expr), ("upper", a.upper.expr, b.upper.expr)
         ):
             if ea != eb:
-                d = _bound_deviation(ea, eb, a.lo, a.hi, per_piece, ("dev", i, bound))
+                d = _bound_deviation(ea, eb, lo, hi, per_piece, ("dev", i, bound))
                 worst = max(worst, d)
     return worst
 

@@ -14,6 +14,13 @@ and may be overridden by declarations (subject to `validate_envelopes`).
 Special points may carry width-0 values: a breakpoint whose value matches
 both abutting limits is pruned by normalization when the neighbouring
 expressions merge, which gives a canonical form and decidable equality.
+
+Two functions are read together by `walk`: one merge of their breakpoint
+tuples gives the union of their special points, each operand's value
+there, and each operand's original piece over every span between them.  It
+builds no piece and no function; the pointwise operations and the order
+comparisons (`order.func_leq`, the stabilization scan, `max_deviation`)
+read it, and `align` builds the two refined functions from the same merge.
 """
 
 from __future__ import annotations
@@ -43,6 +50,8 @@ from .scalars import (
     Scalar,
     check_finite,
     comparison_slack,
+    format_scalar,
+    format_span,
     get_mode,
     get_seed,
     get_tolerance,
@@ -111,7 +120,8 @@ class EndEnvelope:
     def __post_init__(self):
         if self.liminf is not self.limsup and self.liminf > self.limsup:
             raise EnvelopeError(
-                f"envelope liminf {self.liminf!r} above limsup {self.limsup!r}"
+                f"envelope liminf {format_scalar(self.liminf)} above limsup "
+                f"{format_scalar(self.limsup)}"
             )
         if self.provenance not in _PROV_RANK:
             raise EngineError(f"unknown provenance {self.provenance!r}")
@@ -262,12 +272,14 @@ class HFunction:
         piece = self.pieces[bisect_left(self.breakpoints, x)]
         if (piece.lo is None or piece.lo < x) and (piece.hi is None or x < piece.hi):
             return piece
-        raise DomainError(f"{x!r} not interior to any piece")
+        raise DomainError(f"{format_scalar(x)} not interior to any piece")
 
     def eval_at(self, x) -> Interval:
         x = to_scalar(x)
         if not self.domain.contains(x):
-            raise DomainError(f"{x!r} outside domain {self.domain!r}")
+            raise DomainError(
+                f"{format_scalar(x)} outside domain {format_span(self.domain.lo, self.domain.hi)}"
+            )
         idx = self.point_index(x)
         if idx is not None:
             return self.points[idx].value
@@ -488,7 +500,7 @@ def validate_function(f: HFunction) -> None:
                 ):
                     raise PieceError(
                         f"division by zero: denominator {ex.to_text(den)} vanishes "
-                        f"inside ({piece.lo!r}, {piece.hi!r})"
+                        f"inside {format_span(piece.lo, piece.hi)}"
                     )
         if get_mode() == FLOAT or piece.kind == "transcendental":
             for x in _span_samples(piece.lo, piece.hi, _PIECE_SAMPLES, tag=("validate", i)):
@@ -496,14 +508,15 @@ def validate_function(f: HFunction) -> None:
                     piece.bound_values(x)
                 except ExprEvalError as exc:
                     raise PieceError(
-                        f"piece on ({piece.lo!r}, {piece.hi!r}) not evaluable at {x!r}: {exc}"
+                        f"piece on {format_span(piece.lo, piece.hi)} not evaluable at "
+                        f"{format_scalar(x)}: {exc}"
                     ) from exc
         if not piece.is_real and not nonnegative_on(
             ex.Sub(piece.upper.expr, piece.lower.expr), piece.lo, piece.hi,
             ("validate", i), comparison_slack(),
         ):
             raise PieceError(
-                f"lower bound above upper bound on piece ({piece.lo!r}, {piece.hi!r})"
+                f"lower bound above upper bound on piece {format_span(piece.lo, piece.hi)}"
             )
         left_interior = i > 0
         right_interior = i < len(f.pieces) - 1
@@ -563,75 +576,113 @@ def constant_function(domain: Domain, value) -> HFunction:
 def refine(f: HFunction, xs: Iterable[Scalar]) -> HFunction:
     """Split the pieces of f at every x that is not yet a special point,
     storing the evaluated point value and envelopes there.  Takes any xs:
-    they are coerced, sorted and checked, then inserted by `_refine_sorted`."""
-    return _refine_sorted(f, sorted(to_scalar(x) for x in xs))
+    they are coerced and sorted, then `_inserted` checks them and finds the
+    pieces they split."""
+    new = _inserted(f, sorted(to_scalar(x) for x in xs))
+    return _built(f, *_refinement(f, new)) if new else f
 
 
-def _refine_sorted(f: HFunction, xs: Sequence[Scalar]) -> HFunction:
-    """`refine` at sorted scalars: one merge walk over xs and the points of
-    f finds the piece each new x splits, then one pass over the pieces splits
-    them.  An x that `scalar_eq` matches to a point (the one
+def _inserted(f: HFunction, xs: Sequence[Scalar]) -> List[Tuple[int, Scalar]]:
+    """(index of the piece x lies in, x) for each of the sorted scalars xs
+    that refining f inserts, found by one merge walk over xs and the points
+    of f.  An x that `scalar_eq` matches to a point (the one
     `HFunction.point_index` finds) or to the x inserted just before it is
-    skipped."""
+    skipped: in float mode a point within the tolerance of a point of f is
+    shared."""
     if xs and not (f.domain.contains(xs[0]) and f.domain.contains(xs[-1])):
         x = next(x for x in xs if not f.domain.contains(x))
-        raise DomainError(f"{x!r} outside domain {f.domain!r}")
+        domain = format_span(f.domain.lo, f.domain.hi)
+        raise DomainError(f"{format_scalar(x)} outside domain {domain}")
     known, i, tol = f.breakpoints, 0, comparison_slack()
-    new: List[Tuple[int, Scalar]] = []  # (index of the piece x lies in, x)
+    new: List[Tuple[int, Scalar]] = []
     for x in xs:
         while i < len(known) and (known[i] - x < -tol if tol else known[i] < x):
             i += 1
         if not (i < len(known) and scalar_eq(known[i], x) or new and scalar_eq(new[-1][1], x)):
             new.append((i, x))
-    if not new:
-        return f
-    points: List[SpecialPoint] = []
-    pieces: List[Piece] = []
+    return new
+
+
+# The (lower, upper) values of a piece at a point inserted into it; None at
+# a special point of the function itself.
+Cut = Optional[Tuple[Scalar, Scalar]]
+
+
+def _refinement(f: HFunction, new: Sequence[Tuple[int, Scalar]]):
+    """f refined at the insertions ``new`` (`_inserted`), unbuilt: its points
+    as (x, value, cut) and its spans as (lo, hi, original covering piece).
+    An inserted x takes the hull of its cut as its value."""
+    points: List[Tuple[Scalar, Interval, Cut]] = []
+    spans: List[Tuple[Optional[Scalar], Optional[Scalar], Piece]] = []
     j = 0
-    for i, original in enumerate(f.pieces):
-        piece = original
+    for i, piece in enumerate(f.pieces):
+        lo = piece.lo
         while j < len(new) and new[j][0] == i:
             x = new[j][1]
             j += 1
-            v_lo, v_hi = original.bound_values(x)
-            lower_l, lower_r = _split(piece.lower, v_lo)
-            upper_l, upper_r = (
-                (lower_l, lower_r) if piece.is_real else _split(piece.upper, v_hi)
-            )
-            pieces.append(Piece(piece.lo, x, lower_l, upper_l))
-            value = Interval(v_lo, v_lo) if v_hi is v_lo else iv.hull(v_lo, v_hi)
-            points.append(SpecialPoint(x, value))
-            piece = Piece(x, piece.hi, lower_r, upper_r)
-        pieces.append(piece)
+            cut = v_lo, v_hi = piece.bound_values(x)
+            points.append((x, Interval(v_lo, v_lo) if v_hi is v_lo else iv.hull(v_lo, v_hi), cut))
+            spans.append((lo, x, piece))
+            lo = x
+        spans.append((lo, piece.hi, piece))
         if i < len(f.points):
-            points.append(f.points[i])
-    return HFunction(f.domain, tuple(points), tuple(pieces))
+            point = f.points[i]
+            points.append((point.x, point.value, None))
+    return points, spans
 
 
-def _split(bound: Bound, value: Scalar) -> Tuple[Bound, Bound]:
-    """The bound's records left and right of a point where it takes ``value``."""
-    env = EndEnvelope(value, value, EVALUATED)
-    return Bound(bound.expr, bound.left, env), Bound(bound.expr, env, bound.right)
+def _built(f: HFunction, points, spans) -> HFunction:
+    """A refinement of f (`_refinement`) as a function: an uncut piece is
+    kept, a cut one holds the records `_cut_bounds` gives."""
+    pieces = tuple(
+        piece if bounds[0] is piece.lower else Piece(lo, hi, *bounds)
+        for lo, hi, piece, bounds in _cut_spans(points, spans)
+    )
+    return HFunction(f.domain, tuple(SpecialPoint(x, v) for x, v, _ in points), pieces)
 
 
-def align(f: HFunction, g: HFunction) -> Tuple[HFunction, HFunction]:
-    """Refine both functions to the union of their special points.
+def _cut_spans(points, spans):
+    """The spans of a refinement (`_refinement`) as (lo, hi, piece, its
+    (lower, upper) records cut at the span's ends by `_cut_bounds`)."""
+    edge = [None, *(cut for _, _, cut in points), None]
+    for (lo, hi, piece), left, right in zip(spans, edge, edge[1:]):
+        yield lo, hi, piece, _cut_bounds(piece, left, right)
 
-    Each is refined at the other's points by a merge walk over the two
-    sorted breakpoint tuples (`_refine_sorted`).  In float mode a point
-    within the tolerance of a point of the other function is not inserted.
-    When the tolerance would merge two neighbouring points of one function
-    into one point of the other, the refinements differ and
-    RepresentationError is raised; in rational mode both hold the union.
-    """
+
+def _cut_bounds(piece: Piece, left: Cut, right: Cut) -> Tuple[Bound, Bound]:
+    """The piece's (lower, upper) records over a span whose ends are cut at
+    ``left``/``right`` (None at the piece's own ends): at a cut end each
+    record takes the evaluated envelope of its value there.  A real piece
+    cut at either end holds one record as both; an uncut piece gives its own
+    records."""
+    if left is None and right is None:
+        return piece.lower, piece.upper
+    lower = _cut(piece.lower, left, right, 0)
+    return lower, lower if piece.is_real else _cut(piece.upper, left, right, 1)
+
+
+def _cut(bound: Bound, left: Cut, right: Cut, k: int) -> Bound:
+    return Bound(
+        bound.expr,
+        bound.left if left is None else EndEnvelope(left[k], left[k], EVALUATED),
+        bound.right if right is None else EndEnvelope(right[k], right[k], EVALUATED),
+    )
+
+
+def _merged(f: HFunction, g: HFunction):
+    """The refinements (`_refinement`) of f and g, each at the other's
+    points.  When the float tolerance would merge two neighbouring points of
+    one function into one point of the other, they differ and
+    RepresentationError is raised; in rational mode both hold the union."""
     if not domain_eq(f.domain, g.domain):
         raise EngineError("operands must share a domain")
-    fa, ga = _refine_sorted(f, g.breakpoints), _refine_sorted(g, f.breakpoints)
+    fr = _refinement(f, _inserted(f, g.breakpoints))
+    gr = _refinement(g, _inserted(g, f.breakpoints))
     if get_mode() == RATIONAL:
-        return fa, ga
-    xs, ys = [p.x for p in fa.points], [p.x for p in ga.points]
+        return fr, gr
+    xs, ys = [x for x, _, _ in fr[0]], [y for y, _, _ in gr[0]]
     if len(xs) == len(ys) and all(map(scalar_eq, xs, ys)):
-        return fa, ga
+        return fr, gr
     for a, b in ((xs, ys), (ys, xs)):
         for p, q in zip(a, a[1:]):
             if any(scalar_eq(p, r) and scalar_eq(q, r) for r in b):
@@ -641,6 +692,60 @@ def align(f: HFunction, g: HFunction) -> Tuple[HFunction, HFunction]:
                 )
     raise RepresentationError(
         f"tolerance {get_tolerance()} aligns the operands to different breakpoints"
+    )
+
+
+class Walk(NamedTuple):
+    """Two functions f and g over the union of their special points
+    (`walk`): ``points`` as (x, value in f, value in g), ``spans`` as (lo,
+    hi, f's covering piece, g's covering piece)."""
+
+    points: List[Tuple[Scalar, Interval, Interval]]
+    spans: List[Tuple[Optional[Scalar], Optional[Scalar], Piece, Piece]]
+
+
+def walk(f: HFunction, g: HFunction) -> Walk:
+    """f and g over the union of their special points, read without building
+    a refined function.  The merge (`_merged`) pairs the points and the
+    spans between them.  A value of one operand is evaluated only at the
+    other's points; each span names the operands' original covering pieces,
+    and its ends and the points are f's.  In float mode the tolerance rules
+    and errors are `align`'s."""
+    (f_points, f_spans), (g_points, g_spans) = _merged(f, g)
+    return Walk(
+        [(x, u, v) for (x, u, _), (_, v, _) in zip(f_points, g_points)],
+        [(lo, hi, a, b) for (lo, hi, a), (_, _, b) in zip(f_spans, g_spans)],
+    )
+
+
+def _cut_walk(f: HFunction, g: HFunction):
+    """`walk` with the records the pointwise operations combine: its points,
+    and each span as (lo, hi, f's piece, f's records, g's piece, g's
+    records), the records cut at the span's ends (`_cut_spans`) as `align`
+    cuts them."""
+    (f_points, f_spans), (g_points, g_spans) = _merged(f, g)
+    points = [(x, u, v) for (x, u, _), (_, v, _) in zip(f_points, g_points)]
+    spans = [
+        (lo, hi, a, a_bounds, b, b_bounds)
+        for (lo, hi, a, a_bounds), (_, _, b, b_bounds)
+        in zip(_cut_spans(f_points, f_spans), _cut_spans(g_points, g_spans))
+    ]
+    return points, spans
+
+
+def align(f: HFunction, g: HFunction) -> Tuple[HFunction, HFunction]:
+    """Refine both functions to the union of their special points: the
+    merge of `walk`, built.  In float mode a point within the tolerance of a
+    point of the other function is not inserted.  When the tolerance would
+    merge two neighbouring points of one function into one point of the
+    other, the refinements differ and RepresentationError is raised; in
+    rational mode both hold the union.  The ring operations read `walk`
+    instead.
+    """
+    (f_points, f_spans), (g_points, g_spans) = _merged(f, g)
+    return (
+        _built(f, f_points, f_spans) if len(f_points) > len(f.points) else f,
+        _built(g, g_points, g_spans) if len(g_points) > len(g.points) else g,
     )
 
 
@@ -673,20 +778,19 @@ _BOX_OPS = {operator.add: iv.add, operator.mul: iv.mul}
 
 
 def pointwise_add(f: HFunction, g: HFunction) -> HFunction:
-    """Pointwise interval sum; generally S-continuous but not H-continuous."""
-    f, g = align(f, g)
-    points = [
-        SpecialPoint(p.x, iv.add(p.value, q.value))
-        for p, q in zip(f.points, g.points)
-    ]
+    """Pointwise interval sum; generally S-continuous but not H-continuous.
+    Read off `_cut_walk`: each result bound combines the operands' original
+    records, cut at a foreign point as `align` would cut them."""
+    points, spans = _cut_walk(f, g)
     pieces = []
-    for a, b in zip(f.pieces, g.pieces):
-        lower = _combine(a.lower, b.lower, operator.add, ex.add(a.lower.expr, b.lower.expr))
+    for lo, hi, a, (al, au), b, (bl, bu) in spans:
+        lower = _combine(al, bl, operator.add, ex.add(al.expr, bl.expr))
         upper = lower
         if not (a.is_real and b.is_real):
-            upper = _combine(a.upper, b.upper, operator.add, ex.add(a.upper.expr, b.upper.expr))
-        pieces.append(Piece(a.lo, a.hi, lower, upper))
-    return HFunction(f.domain, tuple(points), tuple(pieces))
+            upper = _combine(au, bu, operator.add, ex.add(au.expr, bu.expr))
+        pieces.append(Piece(lo, hi, lower, upper))
+    points = tuple(SpecialPoint(x, iv.add(u, v)) for x, u, v in points)
+    return HFunction(f.domain, points, tuple(pieces))
 
 
 def _combine(a: Bound, b: Bound, op, expr: ex.Expr) -> Bound:
@@ -721,31 +825,33 @@ def pointwise_mul(f: HFunction, g: HFunction) -> HFunction:
     picks the product that stays lowest (highest) across the piece by
     `nonnegative_on`, exactly for rational bounds, and raises
     RepresentationError, naming the piece, when no single product wins
-    across it: min/max shapes are outside the expression grammar.
+    across it: min/max shapes are outside the expression grammar.  Read
+    off `_cut_walk`, as `pointwise_add` is.
     """
-    f, g = align(f, g)
-    points = [
-        SpecialPoint(p.x, iv.mul(p.value, q.value))
-        for p, q in zip(f.points, g.points)
-    ]
+    points, spans = _cut_walk(f, g)
     pieces = []
-    for a, b in zip(f.pieces, g.pieces):
+    for lo, hi, a, a_bounds, b, b_bounds in spans:
         if a.is_real and b.is_real:
-            prod = _combine(a.lower, b.lower, operator.mul, ex.mul(a.lower.expr, b.lower.expr))
-            pieces.append(Piece(a.lo, a.hi, prod, prod))
+            p, q = a_bounds[0], b_bounds[0]
+            prod = _combine(p, q, operator.mul, ex.mul(p.expr, q.expr))
+            pieces.append(Piece(lo, hi, prod, prod))
         else:
-            pieces.append(_mul_proper_pieces(a, b))
-    return HFunction(f.domain, tuple(points), tuple(pieces))
+            pieces.append(_mul_proper_pieces(lo, hi, a_bounds, b_bounds))
+    points = tuple(SpecialPoint(x, iv.mul(u, v)) for x, u, v in points)
+    return HFunction(f.domain, points, tuple(pieces))
 
 
-def _mul_proper_pieces(a: Piece, b: Piece) -> Piece:
-    factors = [(p, q) for p in (a.lower, a.upper) for q in (b.lower, b.upper)]
+def _mul_proper_pieces(
+    lo: Optional[Scalar], hi: Optional[Scalar], a: Tuple[Bound, Bound], b: Tuple[Bound, Bound]
+) -> Piece:
+    """The product piece on (lo, hi) of the factors' (lower, upper) records."""
+    factors = [(p, q) for p in a for q in b]
     products = [ex.mul(p.expr, q.expr) for p, q in factors]
-    tag = ("mulpick", str(a.lo), str(a.hi))
+    tag = ("mulpick", str(lo), str(hi))
 
     def lowest(candidates: List[ex.Expr]) -> Optional[int]:
         for k, low in enumerate(candidates):
-            if all(other is low or nonnegative_on(ex.Sub(other, low), a.lo, a.hi, tag, 0)
+            if all(other is low or nonnegative_on(ex.Sub(other, low), lo, hi, tag, 0)
                    for other in candidates):
                 return k
         return None
@@ -755,11 +861,11 @@ def _mul_proper_pieces(a: Piece, b: Piece) -> Piece:
     if low_idx is None or high_idx is None:
         raise RepresentationError(
             f"product bounds change shape inside the proper interval piece "
-            f"({a.lo}, {a.hi}); insert a breakpoint where the winning product changes"
+            f"{format_span(lo, hi)}; insert a breakpoint where the winning product changes"
         )
 
     lower, upper = (_combine(*factors[k], operator.mul, products[k]) for k in (low_idx, high_idx))
-    return Piece(a.lo, a.hi, lower, lower if upper.expr == lower.expr else upper)
+    return Piece(lo, hi, lower, lower if upper.expr == lower.expr else upper)
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +905,8 @@ def punctured_completion_at(f: HFunction, i: int) -> Interval:
     lo, hi = completion_bounds(f, i, False)
     if lo > hi:
         raise EnvelopeError(
-            f"completion inverted at {f.points[i].x!r}: declared envelopes inconsistent"
+            f"completion inverted at {format_scalar(f.points[i].x)}: declared envelopes "
+            "inconsistent"
         )
     return Interval(lo, hi)
 
@@ -886,7 +993,7 @@ def declare_envelope(f: HFunction, x, liminf, limsup) -> HFunction:
     x = to_scalar(x)
     idx = f.point_index(x)
     if idx is None:
-        raise DomainError(f"{x!r} is not a special point")
+        raise DomainError(f"{format_scalar(x)} is not a special point")
     env = EndEnvelope(to_scalar(liminf), to_scalar(limsup), DECLARED)
     pieces = list(f.pieces)
     pieces[idx] = _map_bounds(pieces[idx], lambda b: b._replace(right=env))

@@ -158,6 +158,14 @@ def format_scalar(a: Scalar) -> str:
     return "%.17g" % a
 
 
+def format_span(lo: Optional[Scalar], hi: Optional[Scalar]) -> str:
+    """An open span (lo, hi) for messages, its finite ends by
+    `format_scalar`; None stands for an infinite end."""
+    left = "-inf" if lo is None else format_scalar(lo)
+    right = "inf" if hi is None else format_scalar(hi)
+    return f"({left}, {right})"
+
+
 def _terminating_decimal(a: Fraction) -> Optional[str]:
     den = a.denominator
     twos = 0

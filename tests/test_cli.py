@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -506,6 +507,29 @@ def test_bad_number_exit_2(argv, tmp_path, capsys):
     argv = [str(tmp_path / "out.csv") if arg == "OUT" else arg for arg in argv]
     assert _exit_code(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lower, upper, argv, code, pattern", [
+    ("x", None, ["eval", "DEFS", "f", "5"], 4, r"5 outside domain \(0, 2\)"),
+    ("x", None, ["eval", "DEFS", "f", "--", "-1/3"], 4, r"-1/3 outside domain \(0, 2\)"),
+    ("x", None, ["sample", "DEFS", "f", "--", "1/3", "1", "3", "OUT"], 4,
+     r"grid node 7/3 outside domain \(0, 2\)"),
+    ("1/((x-1)/x)", None, ["validate", "DEFS"], 2, r"vanishes inside \(0, 2\)"),
+    ("1", "0", ["validate", "DEFS"], 2, r"lower bound above upper bound on piece \(0, 2\)"),
+    # the point is one of the validator's samples, whichever it draws
+    ("sqrt(x - 1)", None, ["validate", "DEFS"], 2,
+     r"piece on \(0, 2\) not evaluable at -?\d+(\.\d+|/\d+)?\b"),
+], ids=["eval", "eval-negative", "sample", "vanishing-denominator", "lower-above-upper",
+        "not-evaluable"])
+def test_messages_print_scalars_as_written(lower, upper, argv, code, pattern, tmp_path):
+    piece = {"on": [0, 2], "lower": lower, **({"upper": upper} if upper else {})}
+    defs = tmp_path / "defs.json"
+    defs.write_text(json.dumps({"functions": {"f": {
+        "domain": [0, 2], "pieces": [piece], "points": []}}}))
+    paths = {"DEFS": str(defs), "OUT": str(tmp_path / "out.csv")}
+    result = run_cli(*[paths.get(arg, arg) for arg in argv], expect=code)
+    assert re.search(pattern, result.stderr)
+    assert "Fraction(" not in result.stderr
 
 
 def test_parser_is_built_once_and_keeps_no_declarations(monkeypatch):

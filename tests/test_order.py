@@ -308,6 +308,31 @@ class TestDef3:
         digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
         assert digest == "20a475c9fad030274daa3a79da2a29e161ec5231aa182240a4443ed02c9aa7b9"
 
+    def test_disjoint_jump_answers_are_pinned(self):
+        # 40 reports over the first 20 neighbouring pairs that share no jump
+        # abscissa, so a fix of the shared-jump product leaves them as they are
+        functions = suite.h_continuous_suite(2121, 32, Domain.of(-1, 1), max_jumps=4)
+        pairs = [(f, g) for f, g in zip(functions, functions[1:])
+                 if not set(f.breakpoints) & set(g.breakpoints)][:20]
+        assert len(pairs) == 20
+        parts = [repr(op(f, g, depth=4096)) for f, g in pairs
+                 for op in (order.oplus_def3, order.otimes_def3)]
+        digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+        assert digest == "4b8eeb0f5fa3047a49a0048207037c3c72f09f71b57e1c0a9a52b8726386378b"
+
+    def test_zone_messages_print_scalars_as_written(self):
+        zone = [(F("3/8"), F("3/4"))]
+        with pytest.raises(ConvergenceError) as caught:
+            order._collapse_points(([], [], zone), 4)
+        assert str(caught.value) == (
+            "zone (0.375, 0.75) has no matching shallower zones; "
+            "structure is not stabilizing at depth 4"
+        )
+        scans = ([(F(0), F(1))], [(F("1/4"), F("3/4"))], zone)
+        with pytest.raises(ConvergenceError) as caught:
+            order._collapse_points(scans, 4)
+        assert str(caught.value) == "zone (0.375, 0.75) is not collapsing to a point at depth 4"
+
 
 
 @settings(max_examples=40, deadline=None)

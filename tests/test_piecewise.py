@@ -304,7 +304,7 @@ def test_refine_rejects_points_outside_the_domain():
     with pytest.raises(DomainError):
         pw.refine(f, [F(0), F(2)])
     # the first point outside in sorted order is named, not the last one
-    with pytest.raises(DomainError, match=r"^Fraction\(2, 1\) outside"):
+    with pytest.raises(DomainError, match=r"^2 outside domain \(-1, 1\)$"):
         pw.refine(f, [F(3), F(0), F(2)])
     for operator in (baire.lower_baire, baire.upper_baire, baire.graph_completion,
                      algebra.extend):
@@ -475,6 +475,145 @@ def test_align_is_per_point_refinement(seed, mode, near, free):
             assert aligned == _aligned_or_message(_align_reference, a, b)
             if mode[0] == scalars.RATIONAL:
                 assert not isinstance(aligned, str)
+
+
+def _pointwise_add_reference(f, g):
+    """Reference: `pointwise_add` as it was before `walk`, on the functions
+    the per-point `_align_reference` builds."""
+    f, g = _align_reference(f, g)
+    points = [
+        pw.SpecialPoint(p.x, iv.add(p.value, q.value))
+        for p, q in zip(f.points, g.points)
+    ]
+    pieces = []
+    for a, b in zip(f.pieces, g.pieces):
+        lower = pw._combine(a.lower, b.lower, operator.add, ex.add(a.lower.expr, b.lower.expr))
+        upper = lower
+        if not (a.is_real and b.is_real):
+            upper = pw._combine(a.upper, b.upper, operator.add, ex.add(a.upper.expr, b.upper.expr))
+        pieces.append(pw.Piece(a.lo, a.hi, lower, upper))
+    return pw.HFunction(f.domain, tuple(points), tuple(pieces))
+
+
+def _pointwise_mul_reference(f, g):
+    """Reference: `pointwise_mul` as it was before `walk`,
+    on `_align_reference`."""
+    f, g = _align_reference(f, g)
+    points = [
+        pw.SpecialPoint(p.x, iv.mul(p.value, q.value))
+        for p, q in zip(f.points, g.points)
+    ]
+    pieces = []
+    for a, b in zip(f.pieces, g.pieces):
+        if a.is_real and b.is_real:
+            prod = pw._combine(a.lower, b.lower, operator.mul, ex.mul(a.lower.expr, b.lower.expr))
+            pieces.append(pw.Piece(a.lo, a.hi, prod, prod))
+        else:
+            pieces.append(_mul_proper_pieces_reference(a, b))
+    return pw.HFunction(f.domain, tuple(points), tuple(pieces))
+
+
+def _mul_proper_pieces_reference(a, b):
+    factors = [(p, q) for p in (a.lower, a.upper) for q in (b.lower, b.upper)]
+    products = [ex.mul(p.expr, q.expr) for p, q in factors]
+    tag = ("mulpick", str(a.lo), str(a.hi))
+
+    def lowest(candidates):
+        for k, low in enumerate(candidates):
+            if all(other is low or pw.nonnegative_on(ex.Sub(other, low), a.lo, a.hi, tag, 0)
+                   for other in candidates):
+                return k
+        return None
+
+    low_idx = lowest(products)
+    high_idx = lowest([ex.Neg(c) for c in products])
+    if low_idx is None or high_idx is None:
+        raise RepresentationError(
+            f"product bounds change shape inside the proper interval piece "
+            f"{scalars.format_span(a.lo, a.hi)}; insert a breakpoint where the winning "
+            "product changes"
+        )
+    lower, upper = (pw._combine(*factors[k], operator.mul, products[k])
+                    for k in (low_idx, high_idx))
+    return pw.Piece(a.lo, a.hi, lower, lower if upper.expr == lower.expr else upper)
+
+
+def _max_deviation_reference(f, g):
+    """Reference: `order.max_deviation` as it was before `walk`,
+    on `_align_reference`."""
+    f, g = _align_reference(f, g)
+    worst = scalars.to_scalar(0)
+    for p, q in zip(f.points, g.points):
+        worst = max(worst, iv.distance(p.value, q.value))
+    per_piece = max(1, 1000 // len(f.pieces))
+    for i, (a, b) in enumerate(zip(f.pieces, g.pieces)):
+        for bound, ea, eb in (
+            ("lower", a.lower.expr, b.lower.expr), ("upper", a.upper.expr, b.upper.expr)
+        ):
+            if ea != eb:
+                d = order._bound_deviation(ea, eb, a.lo, a.hi, per_piece, ("dev", i, bound))
+                worst = max(worst, d)
+    return worst
+
+
+def _func_leq_reference(f, g):
+    """Reference: `order.func_leq` as it was before `walk`,
+    on `_align_reference`."""
+    f, g = _align_reference(f, g)
+    for p, q in zip(f.points, g.points):
+        if not iv.leq(p.value, q.value):
+            return False
+    for a, b in zip(f.pieces, g.pieces):
+        for ea, eb in ((a.lower.expr, b.lower.expr), (a.upper.expr, b.upper.expr)):
+            if not pw.nonnegative_on(
+                ex.Sub(eb, ea), a.lo, a.hi, ("leq", str(a.lo), str(a.hi)),
+                scalars.comparison_slack()
+            ):
+                return False
+    return True
+
+
+def _answer(operation, f, g):
+    """What the operation gives, down to the types of the scalars, the
+    provenance of every envelope and which pieces share one record; or the
+    error it raises."""
+    try:
+        result = operation(f, g)
+    except (RepresentationError, EngineError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, pw.HFunction):
+        return repr(result), [p.lower is p.upper for p in result.pieces]
+    return repr(result)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    mode=st.sampled_from(MODES[:2]),
+    kind=st.sampled_from(["h", "s"]),
+    near=st.lists(st.tuples(st.integers(0, 7), st.integers(-3, 3)), max_size=6),
+    free=st.lists(st.fractions(-1, 1, max_denominator=64).filter(lambda x: -1 < x < 1),
+                  max_size=6),
+)
+def test_walk_readers_match_the_aligned_references(seed, mode, kind, near, free):
+    with scalars.engine_mode(*mode):
+        step = scalars.get_tolerance() / 2 if mode[0] == scalars.FLOAT else Fraction(1, 1024)
+        make = suite.h_continuous_suite if kind == "h" else suite.s_continuous_suite
+        f, g = make(seed, 2)
+        # points of g at (k = 0), beside or between points of f
+        g = pw.refine(g, [x for x in _refine_points(f, near, free, step)
+                          if f.domain.contains(x)])
+        # f with every point value raised: f <= raised, and only the points
+        # show that raised <= f fails
+        raised = pw.HFunction(f.domain, tuple(
+            pw.SpecialPoint(p.x, iv.add(p.value, Interval(step, step))) for p in f.points
+        ), f.pieces)
+        for operation, reference in ((pw.pointwise_add, _pointwise_add_reference),
+                                     (pw.pointwise_mul, _pointwise_mul_reference),
+                                     (order.max_deviation, _max_deviation_reference),
+                                     (order.func_leq, _func_leq_reference)):
+            for a, b in ((f, g), (g, f), (f, f), (f, raised), (raised, f)):
+                assert _answer(operation, a, b) == _answer(reference, a, b)
 
 
 class TestAlign:
