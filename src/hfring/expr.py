@@ -12,13 +12,15 @@ runs it with the piece table, `algebra.parse_operand_expr` with the table of
 Constants are stored as exact rationals regardless of engine mode; decimal
 literals are read with decimal semantics.
 
-`canonical` turns every polynomial subtree into its coefficient form:
-`Const` for a constant, `X` for ``x`` itself, and otherwise a `Poly` node
-holding the ascending, trimmed exact coefficients.  Equal polynomials thus
-have equal nodes, which is what makes piece equality decidable in rational
-mode.  A `Poly` prints as the sum of monomials ``c*(x*x)`` that reparses
-to it, is evaluated by Horner's rule, and is returned unchanged by
-`canonical`; `poly_expr` is its one constructor.
+`canonical` is a normal form: a polynomial becomes its coefficient form
+(`Const` for a constant, `X` for ``x`` itself, else a `Poly` node holding
+the ascending, trimmed exact coefficients), a rational function the `Div`
+of two coefficient forms in lowest terms with a monic denominator.  Equal
+polynomial or rational functions thus have equal nodes, which is what
+makes piece equality decidable in rational mode.  A `Poly` prints as the
+sum of monomials ``c*(x*x)`` that reparses to it, is evaluated by Horner's
+rule, and is returned unchanged by `canonical`; `poly_expr` is its one
+constructor.
 
 Evaluation compiles before it computes, and `evaluator` is its one entry
 point.  `evaluator(e)` walks the tree once in the current mode and returns
@@ -430,30 +432,13 @@ def _trim(coeffs: List[Fraction]) -> List[Fraction]:
 
 
 def rational_coeffs(e: Expr) -> Optional[Tuple[List[Fraction], List[Fraction]]]:
-    """(numerator, denominator) coefficient lists for a rational function,
-    without cancellation; None when the tree contains sin/cos/sqrt."""
-    if isinstance(e, _COEFF_FORMS):
-        return poly_coeffs(e), [Fraction(1)]
-    if isinstance(e, Neg):
-        inner = rational_coeffs(e.arg)
-        if inner is None:
-            return None
-        num, den = inner
-        return [-c for c in num], den
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        a = rational_coeffs(e.left)
-        b = rational_coeffs(e.right)
-        if a is None or b is None:
-            return None
-        (n1, d1), (n2, d2) = a, b
-        if isinstance(e, Add):
-            return _padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2)
-        if isinstance(e, Sub):
-            return _padd(_pmul(n1, d2), [-c for c in _pmul(n2, d1)]), _pmul(d1, d2)
-        if isinstance(e, Mul):
-            return _pmul(n1, n2), _pmul(d1, d2)
-        return _pmul(n1, d2), _pmul(d1, n2)
-    return None
+    """(numerator, denominator) coefficient lists of a rational function in
+    lowest terms, the denominator monic; None when the tree contains
+    sin/cos/sqrt or divides by the zero polynomial."""
+    reduced = _reduce(e)
+    if isinstance(reduced, list):
+        return reduced, [ONE.value]
+    return reduced if isinstance(reduced, tuple) else None
 
 
 def _pmul(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
@@ -474,12 +459,11 @@ def _padd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
 
 
 def classify(e: Expr) -> str:
-    """Kind tag: polynomial, rational, or transcendental."""
-    if poly_coeffs(e) is not None:
+    """Kind tag: polynomial, rational, or transcendental (any other tree)."""
+    reduced = _reduce(e)
+    if isinstance(reduced, list):
         return "polynomial"
-    if rational_coeffs(e) is not None:
-        return "rational"
-    return "transcendental"
+    return "rational" if isinstance(reduced, tuple) else "transcendental"
 
 
 def degree(e: Expr) -> Optional[int]:
@@ -636,10 +620,10 @@ def poly_nonnegative(coeffs: List[Fraction], lo, hi) -> bool:
 
 
 def canonical(e: Expr) -> Expr:
-    """Canonicalize in one bottom-up pass (`_reduce`): polynomial subtrees
-    become coefficient form (`Const`, `X` or `Poly`); constant subtrees fold;
-    additive/multiplicative identities drop out.  Structural equality of
-    canonical polynomials is coefficient equality."""
+    """Normal form in one bottom-up pass (`_reduce`): coefficient form for a
+    polynomial, the `Div` of coefficient forms in lowest terms with a monic
+    denominator for a rational function; elsewhere constant subtrees fold
+    and additive/multiplicative identities drop out."""
     if isinstance(e, _COEFF_FORMS):
         return e
     return _node(e, _reduce(e))
@@ -655,10 +639,12 @@ def poly_expr(coeffs: Sequence[Fraction]) -> Expr:
     return Poly(tuple(coeffs))
 
 
-def _reduce(e: Expr) -> Union[List[Fraction], Expr]:
-    """The step under `canonical` and `poly_coeffs`, run once per node from
-    the leaves up: the ascending coefficients of a polynomial subtree, else
-    the subtree's canonical node."""
+def _reduce(e: Expr) -> Union[List[Fraction], Tuple[List[Fraction], List[Fraction]], Expr]:
+    """The one reduction, under `canonical`, `poly_coeffs`, `rational_coeffs`
+    and `classify`, from the leaves up: a polynomial subtree gives its
+    ascending coefficients, a rational one its (numerator, denominator) in
+    lowest terms with a monic denominator of degree >= 1, and any other its
+    canonical node, never a coefficient form (a division by 0 stays `Div`)."""
     if isinstance(e, Const):
         return [e.value]
     if isinstance(e, Var):
@@ -671,8 +657,8 @@ def _reduce(e: Expr) -> Union[List[Fraction], Expr]:
         arg = _reduce(e.arg)
         if isinstance(arg, list):
             return [-c for c in arg]
-        if isinstance(arg, Const):  # a collapsed operand, as in -(0*sin(x) + 2)
-            return Const(-arg.value)
+        if isinstance(arg, tuple):
+            return [-c for c in arg[0]], arg[1]
         if isinstance(arg, Neg):
             return arg.arg
         return Neg(arg)
@@ -688,11 +674,20 @@ def _reduce(e: Expr) -> Union[List[Fraction], Expr]:
             return _pmul(a, b)
         if len(b) == 1 and b[0] != 0:
             return [c / b[0] for c in a]
+        if len(b) > 1:
+            return _lowest_terms(a, b)
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        n1, d1 = a if isinstance(a, tuple) else (a, [ONE.value])
+        n2, d2 = b if isinstance(b, tuple) else (b, [ONE.value])
+        if isinstance(e, Add):
+            return _lowest_terms(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+        if isinstance(e, Sub):
+            return _lowest_terms(_padd(_pmul(n1, d2), [-c for c in _pmul(n2, d1)]), _pmul(d1, d2))
+        if isinstance(e, Mul):
+            return _lowest_terms(_pmul(n1, n2), _pmul(d1, d2))
+        if n2 != [0]:
+            return _lowest_terms(_pmul(n1, d2), _pmul(d1, n2))
     left, right = _node(e.left, a), _node(e.right, b)
-    if isinstance(left, Const) and isinstance(right, Const) and Const in (type(a), type(b)):
-        # an operand that is not a polynomial collapsed to a constant, as in
-        # 0*sin(x) - 1: fold the two constants
-        return canonical(type(e)(left, right))
     if isinstance(e, Add):
         if left == ZERO:
             return right
@@ -705,7 +700,7 @@ def _reduce(e: Expr) -> Union[List[Fraction], Expr]:
         return Sub(left, right)
     if isinstance(e, Mul):
         if left == ZERO or right == ZERO:
-            return ZERO
+            return [Fraction(0)]
         if left == ONE:
             return right
         if right == ONE:
@@ -716,12 +711,26 @@ def _reduce(e: Expr) -> Union[List[Fraction], Expr]:
     return Div(left, right)
 
 
-def _node(e: Expr, reduced: Union[List[Fraction], Expr]) -> Expr:
+def _lowest_terms(num: List[Fraction], den: List[Fraction]):
+    """num/den (den nonzero) in lowest terms with a monic denominator: a
+    coefficient list where that denominator is 1, else the pair."""
+    if len(num) > 1 or num[0] == 0:  # a nonzero constant is coprime to den
+        common = _poly_gcd(num, den)
+        if len(common) > 1:
+            num, den = _poly_divmod(num, common)[0], _poly_divmod(den, common)[0]
+    if den[-1] != 1:
+        num, den = [c / den[-1] for c in num], [c / den[-1] for c in den]
+    return num if len(den) == 1 else (num, den)
+
+
+def _node(e: Expr, reduced) -> Expr:
     """The canonical node of ``e`` from ``_reduce(e)``; a coefficient form
-    is its own."""
-    if not isinstance(reduced, list):
-        return reduced
-    return e if isinstance(e, _COEFF_FORMS) else poly_expr(reduced)
+    is its own, and a rational pair becomes the `Div` of coefficient forms."""
+    if isinstance(reduced, list):
+        return e if isinstance(e, _COEFF_FORMS) else poly_expr(reduced)
+    if isinstance(reduced, tuple):
+        return Div(poly_expr(reduced[0]), poly_expr(reduced[1]))
+    return reduced
 
 
 def add(a: Expr, b: Expr) -> Expr:
@@ -745,14 +754,6 @@ def negate(a: Expr) -> Expr:
 
 
 def exact_equal(a: Expr, b: Expr) -> bool:
-    """Decidable equality: canonical structural match, with an exact
-    cross-multiplication fallback for rational functions."""
-    ca, cb = canonical(a), canonical(b)
-    if ca == cb:
-        return True
-    if isinstance(ca, _COEFF_FORMS) and isinstance(cb, _COEFF_FORMS):
-        return False  # the coefficient form of a polynomial is unique
-    ra, rb = rational_coeffs(ca), rational_coeffs(cb)
-    if ra is not None and rb is not None:
-        return _pmul(ra[0], rb[1]) == _pmul(rb[0], ra[1])
-    return False
+    """Decidable equality: canonical structural match, which is equality of
+    the functions for polynomial and rational expressions."""
+    return canonical(a) == canonical(b)

@@ -260,7 +260,7 @@ def grid_to_csv(grid: GridFunction, fp: TextIO) -> None:
 
 def grid_from_csv(fp: TextIO) -> GridFunction:
     reader = csv.reader(fp)
-    header = next(reader)
+    header = next(reader, None)
     if header != ["x", "lo", "hi"]:
         raise EngineError("grid CSV must start with the header x,lo,hi")
     xs: List[Scalar] = []

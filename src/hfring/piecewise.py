@@ -329,26 +329,22 @@ class DenseSubsetSpec:
 
 
 def rational_limit_at(e: ex.Expr, at: Scalar) -> Optional[Scalar]:
-    """Exact one-sided limit of a rational expression at a finite point,
-    cancelling removable singularities; None when the value diverges.  A
-    polynomial in coefficient form takes one exact Horner pass, its value."""
-    a = at if isinstance(at, Fraction) else Fraction(str(at) if isinstance(at, float) else at)
-    if isinstance(e, ex._COEFF_FORMS):
-        value = ex.poly_eval(ex.poly_coeffs(e), a)
-        return value if get_mode() == RATIONAL else float(value)
-    rc = ex.rational_coeffs(e)
-    if rc is None:
-        return None
-    num, den = rc
-    while ex.poly_eval(den, a) == 0 and ex.poly_eval(num, a) == 0:
-        if den == [Fraction(0)] or num == [Fraction(0)]:
-            break
-        num, _ = ex._poly_divmod(num, [-a, Fraction(1)])
-        den, _ = ex._poly_divmod(den, [-a, Fraction(1)])
-    dval = ex.poly_eval(den, a)
-    if dval == 0:
-        return None
-    value = ex.poly_eval(num, a) / dval
+    """Exact one-sided limit of a rational expression at a finite point;
+    None at a pole and for an expression that is not rational.  Its normal
+    form (`expr.rational_coeffs`) is in lowest terms, so a removable
+    singularity is already cancelled and a denominator root is a pole."""
+    rational = ex.rational_coeffs(e)
+    return None if rational is None else _quotient_at(*rational, at)
+
+
+def _quotient_at(num: List[Fraction], den: List[Fraction], at: Scalar) -> Optional[Scalar]:
+    a = ex.exact(at)
+    value = ex.poly_eval(num, a)
+    if len(den) > 1:  # else den is [1], being monic
+        dval = ex.poly_eval(den, a)
+        if dval == 0:
+            return None
+        value = value / dval
     return value if get_mode() == RATIONAL else float(value)
 
 
@@ -369,11 +365,10 @@ def one_sided_envelope(
     at = lo if side == "+" else hi
     if at is None:
         return None
-    limit = rational_limit_at(e, at)
-    if limit is not None:
-        return EndEnvelope(limit, limit, EVALUATED)
-    if ex.rational_coeffs(e) is not None:
-        return None  # genuine pole at the end
+    rational = ex.rational_coeffs(e)
+    if rational is not None:
+        limit = _quotient_at(*rational, at)
+        return None if limit is None else EndEnvelope(limit, limit, EVALUATED)
     value_at = ex.evaluator(e)
     try:
         value = value_at(at)
@@ -424,6 +419,10 @@ def make_piece(
 ) -> Piece:
     """Build a piece, canonicalizing expressions and filling envelopes.
 
+    A denominator that is 0 or vanishes inside (lo, hi) raises PieceError;
+    the check reads ``lower`` and ``upper`` as written, since their
+    canonical forms cancel common factors (``x*x/x`` is ``x``).
+
     ``declared_left``/``declared_right`` are optional (liminf, limsup)
     pairs, or (liminf, limsup, provenance) triples for data that keeps
     another provenance (estimated envelopes read back from a file).  They
@@ -442,6 +441,16 @@ def make_piece(
             right_declared or one_sided_envelope(e, lo, hi, "-"),
         )
 
+    for e in (lower,) if upper is None else (lower, upper):
+        for den in ex.div_denominators(e):
+            rational = ex.rational_coeffs(den)
+            if rational is not None and (
+                rational[0] == [0] or ex.count_poly_roots_inside(rational[0], lo, hi)
+            ):
+                raise PieceError(
+                    f"division by zero: denominator {ex.to_text(den)} vanishes "
+                    f"inside {format_span(lo, hi)}"
+                )
     declared = (_declared_env(declared_left, lo), _declared_env(declared_right, hi))
     lower_b = bound(ex.canonical(lower), *declared)
     upper_c = lower_b.expr if upper is None else ex.canonical(upper)
@@ -485,23 +494,12 @@ _PIECE_SAMPLES = 64  # samples per piece of a sampled check
 
 
 def validate_function(f: HFunction) -> None:
-    """Representation checks: no rational denominator vanishes inside a
-    piece, lower <= upper pointwise (`nonnegative_on`), pieces evaluable and
-    finite, interior envelopes present.  Evaluability is sampled in float
-    mode, and in rational mode on transcendental pieces only: a rational
-    piece whose denominators keep clear of 0 is finite everywhere."""
+    """Representation checks: lower <= upper pointwise (`nonnegative_on`),
+    pieces evaluable and finite, interior envelopes present.  Evaluability
+    is sampled in float mode, and in rational mode on transcendental pieces
+    only: a rational piece whose denominators keep clear of 0, as
+    `make_piece` checks, is finite everywhere."""
     for i, piece in enumerate(f.pieces):
-        for bound in piece.bounds:
-            for den in ex.div_denominators(bound.expr):
-                rational = ex.rational_coeffs(den)
-                if rational is not None and (
-                    rational[0] == [0]
-                    or ex.count_poly_roots_inside(rational[0], piece.lo, piece.hi)
-                ):
-                    raise PieceError(
-                        f"division by zero: denominator {ex.to_text(den)} vanishes "
-                        f"inside {format_span(piece.lo, piece.hi)}"
-                    )
         if get_mode() == FLOAT or piece.kind == "transcendental":
             for x in _span_samples(piece.lo, piece.hi, _PIECE_SAMPLES, tag=("validate", i)):
                 try:
@@ -1137,7 +1135,7 @@ def _shares_records(a: Piece, b: Piece) -> bool:
 
 
 def piece_expr_equal(a: ex.Expr, b: ex.Expr, lo, hi, tag="eq") -> bool:
-    """Decidable piece equality: exact (canonical/cross-multiplied) when
+    """Decidable piece equality: exact (equal canonical forms) when
     possible, seeded sampling within tolerance in float mode."""
     if ex.exact_equal(a, b):
         return True

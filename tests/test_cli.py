@@ -87,13 +87,15 @@ class TestEval:
 
     @pytest.mark.parametrize("command", [["validate"], ["eval", "f", "1"]], ids=["validate", "eval"])
     def test_rational_denominator_vanishing_inside_a_piece_exit_2(self, tmp_path, command):
-        defs = tmp_path / "defs.json"
-        defs.write_text(json.dumps({"functions": {"f": {
-            "domain": [0, 2], "pieces": [{"on": [0, 2], "lower": "1/((x-1)/x)"}], "points": [],
-        }}}))
-        result = run_cli(command[0], str(defs), *command[1:], expect=2)
-        assert "cannot load" in result.stderr
-        assert "division by zero" in result.stderr
+        # x*x/x is x in normal form; the check reads the division as written
+        for lower, domain in [("1/((x-1)/x)", [0, 2]), ("x*x/x", [-1, 1])]:
+            defs = tmp_path / "defs.json"
+            defs.write_text(json.dumps({"functions": {"f": {
+                "domain": domain, "pieces": [{"on": domain, "lower": lower}], "points": [],
+            }}}))
+            result = run_cli(command[0], str(defs), *command[1:], expect=2)
+            assert "cannot load" in result.stderr
+            assert "division by zero" in result.stderr
 
     def test_deeply_nested_piece(self, tmp_path):
         outputs = []
@@ -530,6 +532,18 @@ def test_messages_print_scalars_as_written(lower, upper, argv, code, pattern, tm
     result = run_cli(*[paths.get(arg, arg) for arg in argv], expect=code)
     assert re.search(pattern, result.stderr)
     assert "Fraction(" not in result.stderr
+
+
+@pytest.mark.parametrize("lower, upper", [("1/x", "x/(x*x)"), ("2*x", "(0*(1/x) + 2)*x")],
+                         ids=["rational", "collapsed-operand"])
+def test_bounds_written_differently_are_one_real_piece(lower, upper, tmp_path):
+    # both bounds have one canonical form, so the piece is real-valued
+    defs = tmp_path / "defs.json"
+    defs.write_text(json.dumps({"functions": {"f": {
+        "domain": [1, 2], "pieces": [{"on": [1, 2], "lower": lower, "upper": upper}],
+        "points": []}}}))
+    assert json.loads(run_cli("validate", str(defs)).stdout)["f"]["h_continuous"] is True
+    run_cli("op", str(defs), "f + f")
 
 
 def test_parser_is_built_once_and_keeps_no_declarations(monkeypatch):

@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hfring import expr as ex
 from hfring import piecewise as pw
@@ -231,6 +231,8 @@ class TestAnalysis:
         assert ex.exact_equal(ex.parse("(x*x)/x"), ex.parse("x"))
         assert ex.exact_equal(ex.parse("1/(2*x)"), ex.parse("(1/2)/x"))
         assert not ex.exact_equal(ex.parse("1/x"), ex.parse("1/(x+1)"))
+        # an operand collapsed by 0*e is a coefficient form like any other
+        assert ex.exact_equal(ex.parse("sin(x) + (0*sin(x) + 2)*x"), ex.parse("sin(x) + 2*x"))
 
     def test_unequal_polynomials_skip_cross_multiplication(self, monkeypatch):
         def refuse(a, b):
@@ -241,20 +243,16 @@ class TestAnalysis:
         assert not ex.exact_equal(ex.X, ex.poly_expr([0, 0, 1]))
         assert not ex.exact_equal(ex.const(2), ex.X)
 
-    def test_rational_functions_still_cross_multiply(self, monkeypatch):
-        calls = []
-        pmul = ex._pmul
-
-        def counted(a, b):
-            calls.append((a, b))
-            return pmul(a, b)
-
-        monkeypatch.setattr(ex, "_pmul", counted)
-        assert ex.exact_equal(ex.parse("1/(2*x)"), ex.parse("(1/2)/x"))
-        assert calls
-        calls.clear()
-        assert not ex.exact_equal(ex.parse("1/x"), ex.poly_expr([0, 1, 1]))
-        assert calls
+    def test_equal_rational_functions_have_equal_canonical_nodes(self):
+        # lowest terms with a monic denominator: one node per function
+        for a, b in [("1/(2*x)", "(1/2)/x"), ("x/(x*x)", "1/x"),
+                     ("(2*x + 2)/(4*x*x + 4*x)", "1/(2*x)"), ("1/((x-1)/x)", "x/(x-1)")]:
+            ca, cb = ex.canonical(ex.parse(a)), ex.canonical(ex.parse(b))
+            assert ca == cb and isinstance(ca, ex.Div), (a, b)
+        assert ex.canonical(ex.parse("(x*x-1)/(x-1)")) == ex.poly_expr([1, 1])
+        assert ex.canonical(ex.parse("2/(4*x + 2)")) == ex.Div(ex.const(Fraction(1, 2)),
+                                                               ex.poly_expr([Fraction(1, 2), 1]))
+        assert ex.canonical(ex.parse("1/x")) != ex.canonical(ex.poly_expr([0, 1, 1]))
 
     def test_count_poly_roots_inside(self):
         coeffs = ex.poly_coeffs(ex.parse("(x-1)*(x-1)*(x+2)"))
@@ -347,59 +345,6 @@ def _reference_poly_coeffs(e):
     return None
 
 
-def _reference_canonical(e):
-    """The two walks `canonical` replaced: `_reference_poly_coeffs` at every
-    level of a non-polynomial tree, then a fold of the identities."""
-    if isinstance(e, (ex.Const, ex.Var, ex.Poly)):
-        return e
-    coeffs = _reference_poly_coeffs(e)
-    if coeffs is not None:
-        return ex.poly_expr(coeffs)
-    if isinstance(e, ex.Neg):
-        arg = _reference_canonical(e.arg)
-        if isinstance(arg, ex.Const):
-            return ex.Const(-arg.value)
-        if isinstance(arg, ex.Neg):
-            return arg.arg
-        return ex.Neg(arg)
-    if isinstance(e, ex.Fun):
-        return ex.Fun(e.name, _reference_canonical(e.arg))
-    left = _reference_canonical(e.left)
-    right = _reference_canonical(e.right)
-    if isinstance(left, ex.Const) and isinstance(right, ex.Const):
-        if isinstance(e, ex.Add):
-            return ex.Const(left.value + right.value)
-        if isinstance(e, ex.Sub):
-            return ex.Const(left.value - right.value)
-        if isinstance(e, ex.Mul):
-            return ex.Const(left.value * right.value)
-        if right.value != 0:
-            return ex.Const(left.value / right.value)
-    if isinstance(e, ex.Add):
-        if left == ex.ZERO:
-            return right
-        if right == ex.ZERO:
-            return left
-        return ex.Add(left, right)
-    if isinstance(e, ex.Sub):
-        if right == ex.ZERO:
-            return left
-        return ex.Sub(left, right)
-    if isinstance(e, ex.Mul):
-        if left == ex.ZERO or right == ex.ZERO:
-            return ex.ZERO
-        if left == ex.ONE:
-            return right
-        if right == ex.ONE:
-            return left
-        return ex.Mul(left, right)
-    if isinstance(e, ex.Div):
-        if right == ex.ONE:
-            return left
-        return ex.Div(left, right)
-    raise TypeError(f"not an expression: {e!r}")
-
-
 def _reference_eval_finite(e, x):
     value = _reference_evaluate(e, x)
     if isinstance(value, float) and not math.isfinite(value):
@@ -442,7 +387,10 @@ def _trees_over(leaves):
     )
 
 
-_expr_trees = _trees_over(_expr_leaves)
+# canonical leaves: a raw Poly((0, 1)) is not the canonical X
+_canonical_trees = _trees_over(_expr_leaves.map(
+    lambda e: ex.poly_expr(e.coeffs) if isinstance(e, ex.Poly) else e
+))
 # with a leaf that is not an expression: TypeError when reached
 _trees = _trees_over(st.one_of(_expr_leaves, st.just("junk")))
 _float_points = st.one_of(
@@ -464,23 +412,37 @@ def test_evaluator_is_the_interpreter(tree, mode, data):
 
 
 @settings(max_examples=600, deadline=None)
-@given(tree=_expr_trees)
-def test_canonical_is_the_two_walk_reference(tree):
-    assert _outcome(ex.canonical, tree) == _outcome(_reference_canonical, tree)
-    assert _outcome(ex.poly_coeffs, tree) == _outcome(_reference_poly_coeffs, tree)
+@given(tree=_canonical_trees, xs=st.lists(_fractions, min_size=1, max_size=3))
+# 0*sin(x) collapses to a constant operand, and x*x/x cancels to x
+@example(tree=ex.parse("(0*sin(x) + 2)*x"), xs=[Fraction(1)])
+@example(tree=ex.parse("x*x/x - 1/(2*x)"), xs=[Fraction(0), Fraction(1, 2)])
+def test_canonical_is_a_normal_form(tree, xs):
+    form = ex.canonical(tree)
+    assert ex.canonical(form) == form
+    assert ex.canonical(ex.parse(ex.to_text(form))) == form
+    # in rational mode the normal form keeps the value wherever the tree has one
+    for x in xs:
+        value = _outcome(ex.evaluator(tree), x)
+        if value[0] == "value":
+            assert _outcome(ex.evaluator(form), x) == value
+    expected = _reference_poly_coeffs(tree)
+    if expected is not None:
+        assert ex.poly_coeffs(tree) == expected
 
 
 @pytest.mark.parametrize("text, expected", [
     ("sin(x) + 0", ex.Fun("sin", ex.X)),
     ("sin(x) - 0", ex.Fun("sin", ex.X)),
-    # a non-polynomial operand that collapses to a constant still folds
+    # a non-polynomial operand that collapses to a constant leaves a constant
     ("0*sin(x) - 1", ex.const(-1)),
     ("-(0*sin(x) + 2)", ex.const(-2)),
 ])
 def test_canonical_identities(text, expected):
     tree = ex.parse(text)
-    assert ex.canonical(tree) == _reference_canonical(tree) == expected
-    assert ex.poly_coeffs(tree) is None
+    assert ex.canonical(tree) == expected
+    assert ex.poly_coeffs(tree) == (
+        [expected.value] if isinstance(expected, ex.Const) else None
+    )
 
 
 def test_rational_coeffs_of_a_negation():

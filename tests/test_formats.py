@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hfring import baire, formats
 from hfring import expr as ex
@@ -169,15 +169,23 @@ def _envelopes(f):
 @given(
     seed=st.integers(0, 10**6),
     mode=st.sampled_from([(scalars.RATIONAL, None), (scalars.FLOAT, 1e-9)]),
-    kind=st.sampled_from(["h", "s", "oscillation"]),
+    kind=st.sampled_from(["h", "s", "oscillation", "removable"]),
     combine=st.sampled_from(["none", "add", "mul"]),
 )
+# sin(x) + x*x/x: its left limit 0 is evaluated, and reads back evaluated
+@example(seed=0, mode=(scalars.FLOAT, 1e-9), kind="removable", combine="add")
 def test_json_round_trip_is_lossless(seed, mode, kind, combine):
-    # the oscillating pair has declared envelopes and exists in float mode only
-    assume(kind != "oscillation" or mode[0] == scalars.FLOAT)
+    # the oscillating pair has declared envelopes, and the removable pair
+    # sin(x) and x*x/x on (0, 1) a transcendental piece: float mode only
+    assume(kind not in ("oscillation", "removable") or mode[0] == scalars.FLOAT)
     with scalars.engine_mode(*mode):
         if kind == "oscillation":
             f, g = make_oscillation_pair()
+        elif kind == "removable":
+            f, g = (
+                pw.hfunction(Domain.of(0, 1), [], [pw.make_piece(0.0, 1.0, ex.parse(text))])
+                for text in ("sin(x)", "x*x/x")
+            )
         else:
             make = suite.h_continuous_suite if kind == "h" else suite.s_continuous_suite
             f, g = make(seed, 2)
@@ -215,7 +223,8 @@ class TestGridCsv:
         "x,lo,hi\n0,1,1\n1,2,2\n3,4,4\n",
         "x,lo,hi\n0,1,1\n1,2\n",
         "x,lo,hi\n0,1,1\n1/0,2,2\n",
-    ], ids=["uneven-spacing", "two-columns", "zero-denominator"])
+        "",
+    ], ids=["uneven-spacing", "two-columns", "zero-denominator", "empty"])
     def test_malformed_rows_rejected(self, text):
         with pytest.raises(EngineError):
             formats.grid_from_csv(io.StringIO(text))
