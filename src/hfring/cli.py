@@ -357,7 +357,7 @@ def cmd_grid_converge(args) -> int:
 def cmd_compare_defs(args) -> int:
     bindings = _load(args.defs)
     f, g = _bound(bindings, args.f), _bound(bindings, args.g)
-    ops = [o.strip() for o in args.ops.split(",") if o.strip()]
+    ops = list(dict.fromkeys(o.strip() for o in args.ops.split(",") if o.strip()))
     if not ops:
         raise _UsageError("--ops names no operation (use plus,times)")
     report = {}

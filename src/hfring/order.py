@@ -15,7 +15,7 @@ instead.
 
 Order limits are taken by *structure stabilization*: elements at depths
 N, 2N, 4N and 8N are compared pairwise, each pair read in one merge of
-its breakpoints (`piecewise.walk`) that refines neither; regions where
+its breakpoints (`piecewise.walk`) that builds neither; regions where
 the representation has stopped changing supply the limit's pieces, while
 the shrinking disagreement zones are extrapolated to their collapse
 points (zone bounds of regularized piecewise-linear functions move along
@@ -33,11 +33,13 @@ breakpoints) stabilize only up to the float-mode tolerance and raise
 ConvergenceError in rational mode.
 
 `max_deviation`, the distance the def3 route reports from the completion
-route, reads the two functions by `piecewise.walk` as well.  It is an
-exact supremum on every span between their special points where the bound
+route, and `func_leq` read the two functions by `piecewise.walk` as well:
+its points with both values, then each span with both covering pieces and
+their cut records, of which the scan and these two read the pieces only.
+`max_deviation` is an exact supremum on every span where the bound
 difference is constant, or a polynomial of degree <= 2 on a bounded span
 (every span of a def3 operation on a bounded domain); it samples only the
-other spans.  `func_leq` reads the walk too.
+other spans.
 """
 
 from __future__ import annotations
@@ -78,13 +80,15 @@ def func_leq(f: HFunction, g: HFunction) -> bool:
     """f <= g in the pointwise interval order: the special point values
     compare as intervals, and on every span of `piecewise.walk` each bound
     difference g - f is >= -``comparison_slack()`` by
-    `piecewise.nonnegative_on`, exactly where both bounds are rational.
+    `piecewise.nonnegative_on`, exactly where both bounds are rational;
+    pieces that share one record as both bounds test the lower pair only.
     """
-    w = pw.walk(f, g)
-    if not all(iv.leq(u, v) for _, u, v in w.points):
+    points, spans = pw.walk(f, g)
+    if not all(iv.leq(u, v) for _, u, v in points):
         return False
-    for lo, hi, a, b in w.spans:
-        for ea, eb in ((a.lower.expr, b.lower.expr), (a.upper.expr, b.upper.expr)):
+    for lo, hi, a, _, b, _ in spans:
+        pairs = ((a.lower.expr, b.lower.expr), (a.upper.expr, b.upper.expr))
+        for ea, eb in pairs[: 1 if pw._shares_records(a, b) else 2]:
             if not pw.nonnegative_on(
                 ex.Sub(eb, ea), lo, hi, ("leq", str(lo), str(hi)), comparison_slack()
             ):
@@ -215,7 +219,7 @@ def _stability_zones(h_a: HFunction, h_b: HFunction):
     points, spans = pw.walk(h_a, h_b)
     zones: List[Tuple[Optional[Scalar], Optional[Scalar]]] = []
     agreed = True
-    for i, (lo, hi, pa, pb) in enumerate(spans):
+    for i, (lo, hi, pa, _, pb, _) in enumerate(spans):
         same_piece = pw.piece_expr_equal(
             pa.lower.expr, pb.lower.expr, lo, hi, tag=("stab-lo", i)
         ) and (pw._shares_records(pa, pb) or pw.piece_expr_equal(
@@ -482,7 +486,7 @@ def max_deviation(f: HFunction, g: HFunction) -> Scalar:
     for _, u, v in points:
         worst = max(worst, iv.distance(u, v))
     per_piece = max(1, 1000 // len(spans))
-    for i, (lo, hi, a, b) in enumerate(spans):
+    for i, (lo, hi, a, _, b, _) in enumerate(spans):
         for bound, ea, eb in (
             ("lower", a.lower.expr, b.lower.expr), ("upper", a.upper.expr, b.upper.expr)
         ):

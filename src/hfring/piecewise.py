@@ -16,11 +16,11 @@ both abutting limits is pruned by normalization when the neighbouring
 expressions merge, which gives a canonical form and decidable equality.
 
 Two functions are read together by `walk`: one merge of their breakpoint
-tuples gives the union of their special points, each operand's value
-there, and each operand's original piece over every span between them.  It
-builds no piece and no function; the pointwise operations and the order
-comparisons (`order.func_leq`, the stabilization scan, `max_deviation`)
-read it, and `align` builds the two refined functions from the same merge.
+tuples gives their special points with each operand's value there, then
+every span between them with each operand's covering piece and its (lower,
+upper) records, cut where the other operand has a point.  The pointwise
+operations and the order comparisons (`order.func_leq`, the stabilization
+scan, `max_deviation`) read it; `align` and `refine` build from its pass.
 """
 
 from __future__ import annotations
@@ -601,70 +601,54 @@ def _inserted(f: HFunction, xs: Sequence[Scalar]) -> List[Tuple[int, Scalar]]:
     return new
 
 
-# The (lower, upper) values of a piece at a point inserted into it; None at
-# a special point of the function itself.
-Cut = Optional[Tuple[Scalar, Scalar]]
-
-
 def _refinement(f: HFunction, new: Sequence[Tuple[int, Scalar]]):
     """f refined at the insertions ``new`` (`_inserted`), unbuilt: its points
-    as (x, value, cut) and its spans as (lo, hi, original covering piece).
-    An inserted x takes the hull of its cut as its value."""
-    points: List[Tuple[Scalar, Interval, Cut]] = []
-    spans: List[Tuple[Optional[Scalar], Optional[Scalar], Piece]] = []
+    as (x, value) and its spans as (lo, hi, original covering piece, its
+    (lower, upper) records there, cut by `_split` at each inserted x).  An
+    inserted x takes the hull of the piece's values there as its value."""
+    points: List[Tuple[Scalar, Interval]] = []
+    spans: List[Tuple[Optional[Scalar], Optional[Scalar], Piece, Tuple[Bound, Bound]]] = []
     j = 0
     for i, piece in enumerate(f.pieces):
-        lo = piece.lo
+        lo, records = piece.lo, (piece.lower, piece.upper)
         while j < len(new) and new[j][0] == i:
             x = new[j][1]
             j += 1
-            cut = v_lo, v_hi = piece.bound_values(x)
-            points.append((x, Interval(v_lo, v_lo) if v_hi is v_lo else iv.hull(v_lo, v_hi), cut))
-            spans.append((lo, x, piece))
+            v_lo, v_hi = piece.bound_values(x)
+            points.append((x, Interval(v_lo, v_lo) if v_hi is v_lo else iv.hull(v_lo, v_hi)))
+            left, records = _split(piece, records, v_lo, v_hi)
+            spans.append((lo, x, piece, left))
             lo = x
-        spans.append((lo, piece.hi, piece))
+        spans.append((lo, piece.hi, piece, records))
         if i < len(f.points):
             point = f.points[i]
-            points.append((point.x, point.value, None))
+            points.append((point.x, point.value))
     return points, spans
+
+
+def _split(piece: Piece, records: Tuple[Bound, Bound], v_lo: Scalar, v_hi: Scalar):
+    """``records``, the piece's (lower, upper) records over a span, on each
+    side of a point inside it where the piece takes (v_lo, v_hi): each record
+    ends and starts at the evaluated envelope of its value, one `EndEnvelope`
+    for both sides.  A real piece holds one record as both."""
+    lower, upper = records
+    env = EndEnvelope(v_lo, v_lo, EVALUATED)
+    lower_l, lower_r = Bound(lower.expr, lower.left, env), Bound(lower.expr, env, lower.right)
+    if piece.is_real:
+        return (lower_l, lower_l), (lower_r, lower_r)
+    env = EndEnvelope(v_hi, v_hi, EVALUATED)
+    upper_l, upper_r = Bound(upper.expr, upper.left, env), Bound(upper.expr, env, upper.right)
+    return (lower_l, upper_l), (lower_r, upper_r)
 
 
 def _built(f: HFunction, points, spans) -> HFunction:
     """A refinement of f (`_refinement`) as a function: an uncut piece is
-    kept, a cut one holds the records `_cut_bounds` gives."""
+    kept, a cut one is built from its records."""
     pieces = tuple(
-        piece if bounds[0] is piece.lower else Piece(lo, hi, *bounds)
-        for lo, hi, piece, bounds in _cut_spans(points, spans)
+        piece if records[0] is piece.lower else Piece(lo, hi, *records)
+        for lo, hi, piece, records in spans
     )
-    return HFunction(f.domain, tuple(SpecialPoint(x, v) for x, v, _ in points), pieces)
-
-
-def _cut_spans(points, spans):
-    """The spans of a refinement (`_refinement`) as (lo, hi, piece, its
-    (lower, upper) records cut at the span's ends by `_cut_bounds`)."""
-    edge = [None, *(cut for _, _, cut in points), None]
-    for (lo, hi, piece), left, right in zip(spans, edge, edge[1:]):
-        yield lo, hi, piece, _cut_bounds(piece, left, right)
-
-
-def _cut_bounds(piece: Piece, left: Cut, right: Cut) -> Tuple[Bound, Bound]:
-    """The piece's (lower, upper) records over a span whose ends are cut at
-    ``left``/``right`` (None at the piece's own ends): at a cut end each
-    record takes the evaluated envelope of its value there.  A real piece
-    cut at either end holds one record as both; an uncut piece gives its own
-    records."""
-    if left is None and right is None:
-        return piece.lower, piece.upper
-    lower = _cut(piece.lower, left, right, 0)
-    return lower, lower if piece.is_real else _cut(piece.upper, left, right, 1)
-
-
-def _cut(bound: Bound, left: Cut, right: Cut, k: int) -> Bound:
-    return Bound(
-        bound.expr,
-        bound.left if left is None else EndEnvelope(left[k], left[k], EVALUATED),
-        bound.right if right is None else EndEnvelope(right[k], right[k], EVALUATED),
-    )
+    return HFunction(f.domain, tuple(SpecialPoint(x, v) for x, v in points), pieces)
 
 
 def _merged(f: HFunction, g: HFunction):
@@ -678,7 +662,7 @@ def _merged(f: HFunction, g: HFunction):
     gr = _refinement(g, _inserted(g, f.breakpoints))
     if get_mode() == RATIONAL:
         return fr, gr
-    xs, ys = [x for x, _, _ in fr[0]], [y for y, _, _ in gr[0]]
+    xs, ys = [x for x, _ in fr[0]], [y for y, _ in gr[0]]
     if len(xs) == len(ys) and all(map(scalar_eq, xs, ys)):
         return fr, gr
     for a, b in ((xs, ys), (ys, xs)):
@@ -693,42 +677,19 @@ def _merged(f: HFunction, g: HFunction):
     )
 
 
-class Walk(NamedTuple):
-    """Two functions f and g over the union of their special points
-    (`walk`): ``points`` as (x, value in f, value in g), ``spans`` as (lo,
-    hi, f's covering piece, g's covering piece)."""
-
-    points: List[Tuple[Scalar, Interval, Interval]]
-    spans: List[Tuple[Optional[Scalar], Optional[Scalar], Piece, Piece]]
-
-
-def walk(f: HFunction, g: HFunction) -> Walk:
+def walk(f: HFunction, g: HFunction):
     """f and g over the union of their special points, read without building
-    a refined function.  The merge (`_merged`) pairs the points and the
-    spans between them.  A value of one operand is evaluated only at the
-    other's points; each span names the operands' original covering pieces,
-    and its ends and the points are f's.  In float mode the tolerance rules
-    and errors are `align`'s."""
+    a refined function: the points as (x, value in f, value in g), and the
+    spans between them as (lo, hi, f's covering piece, its (lower, upper)
+    records, g's covering piece, its records).  A value of one operand is
+    evaluated only at the other's points, where its records are cut as
+    `align` cuts them; the ends and the points are f's.  In float mode the
+    tolerance rules and errors are `align`'s."""
     (f_points, f_spans), (g_points, g_spans) = _merged(f, g)
-    return Walk(
-        [(x, u, v) for (x, u, _), (_, v, _) in zip(f_points, g_points)],
-        [(lo, hi, a, b) for (lo, hi, a), (_, _, b) in zip(f_spans, g_spans)],
+    return (
+        [(x, u, v) for (x, u), (_, v) in zip(f_points, g_points)],
+        [(lo, hi, a, ar, b, br) for (lo, hi, a, ar), (_, _, b, br) in zip(f_spans, g_spans)],
     )
-
-
-def _cut_walk(f: HFunction, g: HFunction):
-    """`walk` with the records the pointwise operations combine: its points,
-    and each span as (lo, hi, f's piece, f's records, g's piece, g's
-    records), the records cut at the span's ends (`_cut_spans`) as `align`
-    cuts them."""
-    (f_points, f_spans), (g_points, g_spans) = _merged(f, g)
-    points = [(x, u, v) for (x, u, _), (_, v, _) in zip(f_points, g_points)]
-    spans = [
-        (lo, hi, a, a_bounds, b, b_bounds)
-        for (lo, hi, a, a_bounds), (_, _, b, b_bounds)
-        in zip(_cut_spans(f_points, f_spans), _cut_spans(g_points, g_spans))
-    ]
-    return points, spans
 
 
 def align(f: HFunction, g: HFunction) -> Tuple[HFunction, HFunction]:
@@ -777,9 +738,9 @@ _BOX_OPS = {operator.add: iv.add, operator.mul: iv.mul}
 
 def pointwise_add(f: HFunction, g: HFunction) -> HFunction:
     """Pointwise interval sum; generally S-continuous but not H-continuous.
-    Read off `_cut_walk`: each result bound combines the operands' original
-    records, cut at a foreign point as `align` would cut them."""
-    points, spans = _cut_walk(f, g)
+    Read off `walk`: each result bound combines the operands' records over
+    the span."""
+    points, spans = walk(f, g)
     pieces = []
     for lo, hi, a, (al, au), b, (bl, bu) in spans:
         lower = _combine(al, bl, operator.add, ex.add(al.expr, bl.expr))
@@ -824,9 +785,9 @@ def pointwise_mul(f: HFunction, g: HFunction) -> HFunction:
     `nonnegative_on`, exactly for rational bounds, and raises
     RepresentationError, naming the piece, when no single product wins
     across it: min/max shapes are outside the expression grammar.  Read
-    off `_cut_walk`, as `pointwise_add` is.
+    off `walk`, as `pointwise_add` is.
     """
-    points, spans = _cut_walk(f, g)
+    points, spans = walk(f, g)
     pieces = []
     for lo, hi, a, a_bounds, b, b_bounds in spans:
         if a.is_real and b.is_real:

@@ -391,6 +391,14 @@ class TestCompareDefs:
         header = csv_path.read_text().splitlines()[0]
         assert header == "op,x,def3_lo,def3_hi,def1_lo,def1_hi"
 
+    def test_repeated_ops_are_compared_once(self, tmp_path, capsys):
+        csv_path = tmp_path / "points.csv"
+        assert cli.main(["compare-defs", STEP, "f", "g", "--depth", "32",
+                         "--ops", "times,plus,times,plus", "--out-csv", str(csv_path)]) == 0
+        assert sorted(json.loads(capsys.readouterr().out)["ops"]) == ["plus", "times"]
+        rows = csv_path.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["times"] * 256 + ["plus"] * 256
+
     def test_outside_the_piecewise_linear_subclass_exit_6(self, tmp_path):
         run_cli("--mode", "float", "compare-defs", OSC, "f", "g",
                 "--out-csv", str(tmp_path / "points.csv"), expect=6)
@@ -584,3 +592,11 @@ def test_reference_outputs(argv, digest, tmp_path):
     out = run_cli(*[str(out_file) if arg == "OUT" else arg for arg in argv]).stdout
     data = out_file.read_bytes() if "OUT" in argv else out.encode("utf-8")
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_readme_library_block_runs():
+    readme = os.path.join(os.path.dirname(DATA_DIR), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fp:
+        blocks = re.findall(r"```python\n(.*?)```", fp.read(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -55,6 +55,20 @@ class TestFuncLeq:
         assert order.func_leq(a, b)
         assert not order.func_leq(a, c)  # slopes differ on the whole line
 
+    def test_a_shared_record_is_tested_once(self, monkeypatch):
+        f = suite.h_continuous_suite(5, 2)[0]
+        proper = pw.hfunction(Domain.of(-1, 1), [], [
+            pw.make_piece(F(-1), F(1), ex.parse("x"), ex.parse("x + 1"))])
+        test, calls = pw.nonnegative_on, []
+        monkeypatch.setattr(pw, "nonnegative_on",
+                            lambda *args: calls.append(args) or test(*args))
+        # real pieces hold one record as both bounds: the lower pair
+        # decides; a proper piece tests both pairs
+        for h, expected in ((f, len(f.pieces)), (proper, 2)):
+            calls.clear()
+            assert order.func_leq(h, h)
+            assert len(calls) == expected
+
     @staticmethod
     def _zero_and(text):
         dom = Domain.of(-1, 1)

@@ -193,20 +193,27 @@ def _refine_points(f, near, free, step):
     return xs + [x + step / 3 for x in xs]
 
 
+def _suite(kind):
+    """H-continuous (real pieces) or S-continuous suites, whose proper
+    pieces hold an upper record apart from the lower one."""
+    return suite.h_continuous_suite if kind == "h" else suite.s_continuous_suite
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 10**6),
     mode=st.sampled_from(MODES),
+    kind=st.sampled_from(["h", "s"]),
     near=st.lists(st.tuples(st.integers(0, 7), st.integers(-3, 3)), max_size=6),
     free=st.lists(st.fractions(-1, 1, max_denominator=64).filter(lambda x: -1 < x < 1),
                   max_size=6),
 )
-def test_refine_matches_per_point_insertion(seed, mode, near, free):
+def test_refine_matches_per_point_insertion(seed, mode, kind, near, free):
     # at a float tolerance of 0.2 many requested points fall within the
     # tolerance of an existing point or of one inserted just before
     with scalars.engine_mode(*mode):
         step = scalars.get_tolerance() / 2 if mode[0] == scalars.FLOAT else Fraction(1, 1024)
-        f = suite.h_continuous_suite(seed, 1)[0]
+        f = _suite(kind)(seed, 1)[0]
         xs = [x for x in _refine_points(f, near, free, step) if f.domain.contains(x)]
         expected = f
         for x in sorted(xs):
@@ -254,8 +261,7 @@ def _assert_real_pieces_share_a_record(f):
 )
 def test_real_pieces_hold_one_bound_record(seed, mode, kind, free):
     with scalars.engine_mode(*mode):
-        make = suite.h_continuous_suite if kind == "h" else suite.s_continuous_suite
-        f, g = make(seed, 2)
+        f, g = _suite(kind)(seed, 2)
         zero = pw.constant_function(f.domain, 0)
         outputs = [f, g, pw.refine(f, [F(x) for x in free]), pw.pointwise_neg(f),
                    pw.pointwise_add(f, g), pw.pointwise_mul(f, zero), baire.fis(f),
@@ -456,17 +462,18 @@ def _aligned_or_message(align, f, g):
 @given(
     seed=st.integers(0, 10**6),
     mode=st.sampled_from(MODES),
+    kind=st.sampled_from(["h", "s"]),
     near=st.lists(st.tuples(st.integers(0, 7), st.integers(-3, 3)), max_size=6),
     free=st.lists(st.fractions(-1, 1, max_denominator=64).filter(lambda x: -1 < x < 1),
                   max_size=6),
 )
 # at a tolerance of 0.2 this pair merges 5/8 and 7/8 of the first function
 # into 3/4 of the second (`test_tolerance_merging_two_breakpoints_rejected`)
-@example(seed=0, mode=MODES[2], near=[], free=[])
-def test_align_is_per_point_refinement(seed, mode, near, free):
+@example(seed=0, mode=MODES[2], kind="h", near=[], free=[])
+def test_align_is_per_point_refinement(seed, mode, kind, near, free):
     with scalars.engine_mode(*mode):
         step = scalars.get_tolerance() / 2 if mode[0] == scalars.FLOAT else Fraction(1, 1024)
-        f, g = suite.h_continuous_suite(seed, 2)
+        f, g = _suite(kind)(seed, 2)
         # points of g at (k = 0), beside or between points of f
         g = pw.refine(g, [x for x in _refine_points(f, near, free, step)
                           if f.domain.contains(x)])
@@ -598,8 +605,7 @@ def _answer(operation, f, g):
 def test_walk_readers_match_the_aligned_references(seed, mode, kind, near, free):
     with scalars.engine_mode(*mode):
         step = scalars.get_tolerance() / 2 if mode[0] == scalars.FLOAT else Fraction(1, 1024)
-        make = suite.h_continuous_suite if kind == "h" else suite.s_continuous_suite
-        f, g = make(seed, 2)
+        f, g = _suite(kind)(seed, 2)
         # points of g at (k = 0), beside or between points of f
         g = pw.refine(g, [x for x in _refine_points(f, near, free, step)
                           if f.domain.contains(x)])
