@@ -105,15 +105,14 @@ def graph_completion(f: HFunction, spec: Optional[DenseSubsetSpec] = None) -> HF
 
 def _completed_bound(f: HFunction, lower: bool) -> HFunction:
     """Shared body of `fis` and `fsi`: keep one bound on the pieces and give
-    each breakpoint the hull of that bound's two abutting envelopes."""
+    each breakpoint the hull of that bound's two abutting envelopes
+    (`piecewise.hull_between` of the one-bound pieces)."""
     # a list, not tuple() over a generator: that tuple is built by resizing,
     # and such long-lived results raised peak memory on every ring pass
     pieces = [_bound_piece(p, lower) for p in f.pieces]
     points = []
     for i, point in enumerate(f.points):
-        ll, lr, ul, ur = pw.side_envelopes(f, i)
-        left, right = (ll, lr) if lower else (ul, ur)
-        value = Interval(min(left.liminf, right.liminf), max(left.limsup, right.limsup))
+        value = Interval(*pw.hull_between(pieces[i], pieces[i + 1]))
         if not value.is_point and scalar_eq(value.lo, value.hi):
             # float mode: the composition prunes such a point at its inner
             # stage, where the value is still a point
@@ -132,7 +131,8 @@ def fis(f: HFunction) -> HFunction:
     on both sides.  The point value of f never enters: the minimum that I
     takes already lies below everything S puts at the point (see the module
     docstring).  Always Hausdorff continuous; fixes H-continuous inputs.
-    Raises EnvelopeError when a breakpoint lacks envelope data."""
+    Raises EnvelopeError when the upper bound lacks envelope data at a
+    breakpoint."""
     return _completed_bound(f, lower=False)
 
 

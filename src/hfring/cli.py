@@ -37,7 +37,7 @@ from .errors import (
 )
 from .interval import distance as iv_distance
 from .piecewise import Domain, HFunction
-from .scalars import Scalar, format_scalar, set_mode, set_seed, to_scalar
+from .scalars import Scalar, engine_mode, format_scalar, get_seed, set_seed, to_scalar
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -428,9 +428,8 @@ def cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; its mode, tolerance and seed last for it alone."""
     args = build_parser().parse_args(argv)
-    set_mode(args.mode, args.tol)
-    set_seed(args.seed)
     handlers = {
         "eval": cmd_eval,
         "op": cmd_op,
@@ -440,12 +439,17 @@ def main(argv=None) -> int:
         "compare-defs": cmd_compare_defs,
         "validate": cmd_validate,
     }
+    seed = get_seed()
     try:
-        return handlers[args.command](args)
+        with engine_mode(args.mode, args.tol):
+            set_seed(args.seed)
+            return handlers[args.command](args)
     except (EngineError, RecursionError) as exc:
         message = "expression nested too deeply" if isinstance(exc, RecursionError) else exc
         sys.stderr.write(f"error: {message}\n")
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+    finally:
+        set_seed(seed)
 
 
 if __name__ == "__main__":

@@ -79,21 +79,18 @@ from .scalars import (
 def func_leq(f: HFunction, g: HFunction) -> bool:
     """f <= g in the pointwise interval order: the special point values
     compare as intervals, and on every span of `piecewise.walk` each bound
-    difference g - f is >= -``comparison_slack()`` by
-    `piecewise.nonnegative_on`, exactly where both bounds are rational;
-    pieces that share one record as both bounds test the lower pair only.
+    difference g - f of its `piecewise.bound_pairs` is
+    >= -``comparison_slack()`` by `piecewise.nonnegative_on`, exactly where
+    both bounds are rational.
     """
     points, spans = pw.walk(f, g)
     if not all(iv.leq(u, v) for _, u, v in points):
         return False
-    for lo, hi, a, _, b, _ in spans:
-        pairs = ((a.lower.expr, b.lower.expr), (a.upper.expr, b.upper.expr))
-        for ea, eb in pairs[: 1 if pw._shares_records(a, b) else 2]:
-            if not pw.nonnegative_on(
-                ex.Sub(eb, ea), lo, hi, ("leq", str(lo), str(hi)), comparison_slack()
-            ):
-                return False
-    return True
+    return all(
+        pw.nonnegative_on(ex.Sub(q.expr, p.expr), lo, hi, ("leq", str(lo), str(hi)),
+                          comparison_slack())
+        for lo, hi, a, _, b, _ in spans for p, q in pw.bound_pairs(a, b)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +210,17 @@ def _stability_zones(h_a: HFunction, h_b: HFunction):
 
     One pass over the spans and points of `piecewise.walk`, in domain
     order: a zone opens at the first disagreeing element and closes at the
-    last one before an element that agrees.  Pieces sharing one record as
-    both bounds compare only their lower expressions, as in `func_equal`.
+    last one before an element that agrees.  Two pieces agree when each of
+    their `piecewise.bound_pairs` does, as in `func_equal`.
     """
     points, spans = pw.walk(h_a, h_b)
     zones: List[Tuple[Optional[Scalar], Optional[Scalar]]] = []
     agreed = True
     for i, (lo, hi, pa, _, pb, _) in enumerate(spans):
-        same_piece = pw.piece_expr_equal(
-            pa.lower.expr, pb.lower.expr, lo, hi, tag=("stab-lo", i)
-        ) and (pw._shares_records(pa, pb) or pw.piece_expr_equal(
-            pa.upper.expr, pb.upper.expr, lo, hi, tag=("stab-hi", i)
-        ))
+        same_piece = all(
+            pw.piece_expr_equal(p.expr, q.expr, lo, hi, tag=(tag, i))
+            for tag, (p, q) in zip(("stab-lo", "stab-hi"), pw.bound_pairs(pa, pb))
+        )
         elements = [(lo, hi, same_piece)]  # (left, right, agrees)
         if i < len(points):
             x, u, v = points[i]

@@ -140,7 +140,11 @@ class Bound(NamedTuple):
     """One bound of a piece: its expression and the (liminf, limsup) of that
     expression at the piece's left and right ends.  An infinite end, not a
     point of the domain, has none; a finite end lacks one only at a pole or
-    where no sample near the end can be evaluated."""
+    where no sample near the end can be evaluated.
+
+    ``expr`` is in normal form: each constructor (`make_piece`, `expr.add`,
+    `expr.mul`, `expr.negate`) stores what `expr.canonical` gives, which is
+    idempotent, so stored expressions compare with ``==`` as `exact_equal` would."""
 
     expr: ex.Expr
     left: Optional[EndEnvelope]
@@ -708,6 +712,16 @@ def align(f: HFunction, g: HFunction) -> Tuple[HFunction, HFunction]:
     )
 
 
+def bound_pairs(a: Piece, b: Piece, records=None) -> Tuple[Tuple[Bound, Bound], ...]:
+    """The bound pairs two aligned pieces compare or combine: the lower
+    records, then the upper ones unless both pieces are real.  ``records``
+    gives their (lower, upper) records over a span of `walk` instead."""
+    (al, au), (bl, bu) = records or ((a.lower, a.upper), (b.lower, b.upper))
+    if a.is_real and b.is_real:
+        return ((al, bl),)
+    return (al, bl), (au, bu)
+
+
 # ---------------------------------------------------------------------------
 # Pointwise operations
 # ---------------------------------------------------------------------------
@@ -738,16 +752,14 @@ _BOX_OPS = {operator.add: iv.add, operator.mul: iv.mul}
 
 def pointwise_add(f: HFunction, g: HFunction) -> HFunction:
     """Pointwise interval sum; generally S-continuous but not H-continuous.
-    Read off `walk`: each result bound combines the operands' records over
-    the span."""
+    Read off `walk`: each result bound combines a pair of the operands'
+    records over the span (`bound_pairs`)."""
     points, spans = walk(f, g)
     pieces = []
-    for lo, hi, a, (al, au), b, (bl, bu) in spans:
-        lower = _combine(al, bl, operator.add, ex.add(al.expr, bl.expr))
-        upper = lower
-        if not (a.is_real and b.is_real):
-            upper = _combine(au, bu, operator.add, ex.add(au.expr, bu.expr))
-        pieces.append(Piece(lo, hi, lower, upper))
+    for lo, hi, a, ar, b, br in spans:
+        bounds = [_combine(p, q, operator.add, ex.add(p.expr, q.expr))
+                  for p, q in bound_pairs(a, b, (ar, br))]
+        pieces.append(Piece(lo, hi, bounds[0], bounds[-1]))
     points = tuple(SpecialPoint(x, iv.add(u, v)) for x, u, v in points)
     return HFunction(f.domain, points, tuple(pieces))
 
@@ -832,26 +844,21 @@ def _mul_proper_pieces(
 # ---------------------------------------------------------------------------
 
 
-def side_envelopes(f: HFunction, i: int) -> Tuple[EndEnvelope, EndEnvelope, EndEnvelope, EndEnvelope]:
-    """(lower-left, lower-right, upper-left, upper-right) data at point i,
-    where left means the envelope of the piece left of the point."""
-    left = f.pieces[i]
-    right = f.pieces[i + 1]
-    slots = (left.lower.right, right.lower.left, left.upper.right, right.upper.left)
-    if any(s is None for s in slots):
+def hull_between(left: Piece, right: Piece) -> Tuple[Scalar, Scalar]:
+    """(least liminf of the lower records, greatest limsup of the upper ones)
+    of the envelopes of neighbouring pieces that face each other across the
+    point between them; EnvelopeError when one is missing."""
+    ll, lr, ul, ur = left.lower.right, right.lower.left, left.upper.right, right.upper.left
+    if ll is None or lr is None or ul is None or ur is None:
         raise EnvelopeError("missing envelope at an interior special point")
-    return slots  # type: ignore[return-value]
+    return min(ll.liminf, lr.liminf), max(ul.limsup, ur.limsup)
 
 
 def completion_bounds(f: HFunction, i: int, with_point: bool) -> Tuple[Scalar, Scalar]:
-    """(min of the lower data, max of the upper data) at special point i:
-    the abutting envelopes, and the point value itself when ``with_point``.
-    `completion_at`, `punctured_completion_at` and the envelope operators
-    (`baire.lower_baire`, `baire.upper_baire`) read their breakpoint values
-    from here; `baire.fis` and `baire.fsi` read `side_envelopes` directly."""
-    ll, lr, ul, ur = side_envelopes(f, i)
-    lo = min(ll.liminf, lr.liminf)
-    hi = max(ul.limsup, ur.limsup)
+    """`hull_between` the pieces abutting special point i, widened to the
+    point value when ``with_point``: the breakpoint values of `completion_at`,
+    `punctured_completion_at`, `baire.lower_baire` and `baire.upper_baire`."""
+    lo, hi = hull_between(f.pieces[i], f.pieces[i + 1])
     if with_point:
         value = f.points[i].value
         lo, hi = min(lo, value.lo), max(hi, value.hi)
@@ -1077,28 +1084,25 @@ def normalize(f: HFunction) -> HFunction:
 
 
 def _removable(point: SpecialPoint, left: Piece, right: Piece) -> bool:
+    """Each of the `bound_pairs` holds one expression, whose evaluated limits
+    at the width-0 ``point`` are its value."""
     if not point.value.is_point:
         return False
     v = point.value.lo
-    envs = (left.lower.right, left.upper.right, right.lower.left, right.upper.left)
-    if any(e is None or not e.is_exact_limit or e.provenance != EVALUATED
-           or not scalar_eq(e.liminf, v) for e in envs):
-        return False
-    if not ex.exact_equal(left.lower.expr, right.lower.expr):
-        return False
-    return _shares_records(left, right) or ex.exact_equal(left.upper.expr, right.upper.expr)
-
-
-def _shares_records(a: Piece, b: Piece) -> bool:
-    """Both pieces hold one record as both bounds, so the upper expressions
-    compare as the lower ones did."""
-    return a.lower is a.upper and b.lower is b.upper
+    for p, q in bound_pairs(left, right):
+        if p.expr != q.expr or any(
+            e is None or not e.is_exact_limit or e.provenance != EVALUATED
+            or not scalar_eq(e.liminf, v) for e in (p.right, q.left)
+        ):
+            return False
+    return True
 
 
 def piece_expr_equal(a: ex.Expr, b: ex.Expr, lo, hi, tag="eq") -> bool:
-    """Decidable piece equality: exact (equal canonical forms) when
-    possible, seeded sampling within tolerance in float mode."""
-    if ex.exact_equal(a, b):
+    """Equality of two stored bound expressions on (lo, hi): equal normal
+    forms (`Bound`), compared with ``==``, or in float mode agreement within
+    the tolerance at seeded samples drawn under ``tag``."""
+    if a == b:
         return True
     if get_mode() == RATIONAL:
         return False
@@ -1125,14 +1129,8 @@ def func_equal(f: HFunction, g: HFunction) -> bool:
     for p, q in zip(f.points, g.points):
         if not scalar_eq(p.x, q.x) or not iv.interval_eq(p.value, q.value):
             return False
-    for a, b in zip(f.pieces, g.pieces):
-        if not piece_expr_equal(a.lower.expr, b.lower.expr, a.lo, a.hi):
-            return False
-        if not _shares_records(a, b) and not piece_expr_equal(
-            a.upper.expr, b.upper.expr, a.lo, a.hi
-        ):
-            return False
-    return True
+    return all(piece_expr_equal(p.expr, q.expr, a.lo, a.hi)
+               for a, b in zip(f.pieces, g.pieces) for p, q in bound_pairs(a, b))
 
 
 def func_sample_points(f: HFunction, count: int, tag="samples") -> List[Scalar]:

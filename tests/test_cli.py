@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import hfring
-from hfring import algebra, cli, formats, order, suite
+from hfring import algebra, cli, formats, order, scalars, suite
 from hfring import piecewise as pw
 from hfring.errors import EnvelopeError
 from hfring.piecewise import Domain
@@ -139,8 +139,11 @@ class TestEval:
         {"functions": {"F": {"domain": [-1, 1], "pieces": [{"on": [-1, 1], "lower": 5}]}}},
         {"functions": []},
         {"functions": {"F": {"domain": ["abc", 1], "pieces": [{"on": [-1, 1], "lower": "x"}]}}},
+        # str.isdigit accepts it, Fraction does not
+        {"functions": {"F": {"domain": [-1, 1], "pieces": [
+            {"on": [-1, 1], "lower": "x + \u00b2"}]}}},
     ], ids=["no-domain", "no-lower", "no-limsup", "numeric-lower", "functions-list",
-            "bad-scalar"])
+            "bad-scalar", "superscript-digit"])
     def test_malformed_defs_exit_2(self, tmp_path, defs):
         path = tmp_path / "defs.json"
         path.write_text(json.dumps(defs))
@@ -552,6 +555,17 @@ def test_bounds_written_differently_are_one_real_piece(lower, upper, tmp_path):
         "points": []}}}))
     assert json.loads(run_cli("validate", str(defs)).stdout)["f"]["h_continuous"] is True
     run_cli("op", str(defs), "f + f")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--mode", "float", "--tol", "1e-6", "--seed", "7", "validate", OSC], 0),
+    (["--mode", "float", "--tol", "1e-6", "--seed", "7", "eval", STEP, "missing", "0"], 3),
+], ids=["success", "error"])
+def test_settings_last_for_one_command(argv, code, capsys):
+    assert cli.main(argv) == code
+    assert (scalars.get_mode(), scalars.get_tolerance(), scalars.get_seed()) == (
+        scalars.RATIONAL, scalars.DEFAULT_TOLERANCE, scalars.DEFAULT_SEED)
+    assert scalars.to_scalar("1/3") == Fraction(1, 3)
 
 
 def test_parser_is_built_once_and_keeps_no_declarations(monkeypatch):

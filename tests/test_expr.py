@@ -23,6 +23,7 @@ _SYNTAX_ERRORS = [
     (ex.parse, "x + 1)", "trailing input ')'", 5),  # stray )
     (ex.parse, "x * * 2", "unexpected token '*'", 4),  # unexpected token
     (ex.parse, "x 2", "trailing input '2'", 2),  # trailing input
+    (ex.parse, "x + \u00b2", "unexpected character '\u00b2'", 4),  # a digit Fraction cannot read
     (_operand, "(f + g", "expected ')', found ''", 6),  # unclosed (
     (_operand, "(f g)", "expected ')', found 'g'", 3),  # unclosed ( before a token
     (_operand, "f)", "trailing input ')'", 1),  # stray )

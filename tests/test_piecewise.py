@@ -11,6 +11,7 @@ from hfring import interval as iv
 from hfring import piecewise as pw
 from hfring import algebra, baire, formats, order, scalars, suite
 from hfring.errors import (
+    ConvergenceError,
     DomainError,
     EngineError,
     EnvelopeError,
@@ -994,14 +995,15 @@ class TestNormalizeAndEquality:
         assert pw.func_equal(a, b)
 
     def test_real_pieces_compare_their_expressions_once(self, step_pair, monkeypatch):
-        calls = []
-        exact_equal = ex.exact_equal
+        calls = []  # every pair of bound records handed out for a comparison
+        bound_pairs = pw.bound_pairs
 
-        def counted(a, b):
-            calls.append((a, b))
-            return exact_equal(a, b)
+        def counted(*args):
+            pairs = bound_pairs(*args)
+            calls.extend(pairs)
+            return pairs
 
-        monkeypatch.setattr(ex, "exact_equal", counted)
+        monkeypatch.setattr(pw, "bound_pairs", counted)
         # func_equal: the step's points have width, so normalize compares
         # nothing, and each pair of real pieces takes one comparison
         f, _ = step_pair
@@ -1023,6 +1025,33 @@ class TestNormalizeAndEquality:
         )
         assert not pw.normalize(g).points
         assert len(calls) == len(xs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), mode=st.sampled_from(MODES[:2]), kind=st.sampled_from("hs"))
+def test_stored_bounds_are_in_normal_form(seed, mode, kind):
+    # what lets `_removable` and `piece_expr_equal` compare stored
+    # expressions with == (`Bound`)
+    with scalars.engine_mode(*mode):
+        f, g = _suite(kind)(seed, 2)
+        results = [pw.pointwise_add(f, g), baire.fis(f), baire.fsi(f),
+                   pw.normalize(pw.refine(f, pw.func_sample_points(f, 4)))]
+        try:
+            results.append(pw.pointwise_mul(f, g))
+        except RepresentationError:  # a proper product whose winner changes
+            pass
+        h, k = baire.fis(f), baire.fis(g)  # H-continuous operands
+        results.append(algebra.additive_inverse(h))
+        for op in (algebra.oplus_def2, algebra.otimes_def2, order.oplus_def3, order.otimes_def3):
+            try:
+                report = op(h, k)
+            except ConvergenceError:
+                continue
+            results += [report.result, report.pointwise, *report.witnesses.values()]
+        records = [b for r in results for piece in r.pieces for b in piece.bounds]
+        assert records
+        for b in records:
+            assert ex.canonical(b.expr) == b.expr, ex.to_text(b.expr)
 
 
 def _fresh(x):
