@@ -141,7 +141,7 @@ def extend(phi: HFunction, spec: DenseSubsetSpec) -> HFunction:
         )
     for i, point in enumerate(phi.points):
         if spec.admits(point.x) and not iv.interval_eq(
-            pw.punctured_completion_at(phi, i), point.value
+            pw.completion_at(phi, i, False), point.value
         ):
             raise NotHausdorffContinuous(
                 f"restriction is not Hausdorff continuous at {format_scalar(point.x)}"

@@ -3,31 +3,34 @@ piecewise representation, plus a discrete grid engine approximating them.
 
 On a piece interior the operators reduce to the bound expressions, because
 removing finitely many points never changes a one-sided limit of a
-continuous piece.  All the work happens at breakpoints, where the operator
-value is an exact min/max over the abutting envelope data and, when the
-point belongs to the dense set, the stored value itself.
+continuous piece.  All the work happens at breakpoints.  All five operators
+are one pass, `_completed`: keep one bound (or both) on the pieces, and give
+each breakpoint a pick of the kept pieces' `piecewise.completion_bounds`,
+widened by the stored value when the point belongs to the dense set.
+`lower_baire`, `upper_baire` and `graph_completion` pick the low end, the
+high end and the interval.
 
-`fis` and `fsi` compose three of these operators over the whole domain,
-and are computed in one pass.  Write u- and u+ for the upper bound's
-envelopes on either side of a breakpoint.  S(f) there is the largest of
-u-.limsup, u+.limsup and the upper end of the point value.  I of that is
-the smallest of u-.liminf, u+.liminf and S(f)'s value; that value is at
-least every limsup, hence never below the smaller liminf, so the point
-value of f drops out.  F then widens the result up to the larger limsup.
-So F(I(S(f))) is the upper bound on every piece and the hull of u- and u+
-at every breakpoint; F(S(I(f))) is the same with the lower bound.
+`fis` and `fsi` compose three of these operators over the whole domain, in
+that same pass with no point admitted.  Write u- and u+ for the upper
+bound's envelopes on either side of a breakpoint.  S(f) there is the
+largest of u-.limsup, u+.limsup and the upper end of the point value.  I of
+that is the smallest of u-.liminf, u+.liminf and S(f)'s value; that value
+is at least every limsup, hence never below the smaller liminf, so the
+point value of f drops out.  F then widens the result up to the larger
+limsup.  So F(I(S(f))) is the upper bound on every piece and the hull of u-
+and u+ at every breakpoint; F(S(I(f))) is the same with the lower bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from . import piecewise as pw
-from .errors import DomainError, EngineError
+from .errors import DomainError, EngineError, EnvelopeError
 from .interval import Interval
 from .piecewise import DenseSubsetSpec, HFunction, Piece, SpecialPoint
-from .scalars import Scalar, format_scalar, format_span, scalar_eq, to_scalar
+from .scalars import Scalar, format_scalar, format_span, to_scalar
 
 __all__ = [
     "DenseSubsetSpec",
@@ -45,44 +48,54 @@ __all__ = [
 ]
 
 
-def _envelope_function(
-    f: HFunction,
-    spec: DenseSubsetSpec,
-    which: str,
+def _completed(
+    g: HFunction,
+    bound: Optional[str],
+    admits: Callable[[Scalar], bool],
+    pick: Callable[[Scalar, Scalar], Interval],
 ) -> HFunction:
-    """Shared body of the lower/upper operators: keep the chosen bound on
-    pieces, take min/max over side envelopes (and the point value when the
-    point is in the dense set) at breakpoints."""
-    g = pw.refine(f, spec.excluded)
-    lower = which == "lower"
-    points: List[SpecialPoint] = []
+    """The one pass of every envelope operator: keep ``bound`` ("lower",
+    "upper", or None for both) on the pieces, and give each breakpoint
+    ``pick(lo, hi)`` of the kept pieces' `completion_bounds`, widened by the
+    point value where ``admits`` the point.  Raises EnvelopeError where the
+    result is inverted."""
+    # a list, not tuple() over a generator: that tuple is built by resizing,
+    # and such long-lived results raised peak memory on every ring pass
+    pieces = [_bound_piece(p, bound) for p in g.pieces]
+    points = []
     for i, point in enumerate(g.points):
-        lo, hi = pw.completion_bounds(g, i, spec.admits(point.x))
-        v = lo if lower else hi
-        points.append(SpecialPoint(point.x, Interval(v, v)))
-    pieces = [_bound_piece(p, lower) for p in g.pieces]
+        value = point.value if admits(point.x) else None
+        lo, hi = pw.completion_bounds(pieces[i], pieces[i + 1], value)
+        if lo > hi:
+            raise EnvelopeError(f"completion inverted at {format_scalar(point.x)}: "
+                                "declared envelopes inconsistent")
+        points.append(SpecialPoint(point.x, pick(lo, hi)))
     return pw.normalize(HFunction(g.domain, tuple(points), tuple(pieces)))
 
 
-def _bound_piece(p: Piece, lower: bool) -> Piece:
-    """The real-valued piece that keeps one bound record of p: p itself
-    when it is real, so that it keeps its compiled evaluators."""
-    if p.lower is p.upper:
+def _bound_piece(p: Piece, bound: Optional[str]) -> Piece:
+    """The piece that keeps the ``bound`` record of p (both when None): p
+    itself when it is real, so that it keeps its compiled evaluators."""
+    if bound is None or p.lower is p.upper:
         return p
-    bound = p.lower if lower else p.upper
-    return Piece(p.lo, p.hi, bound, bound)
+    record = p.lower if bound == "lower" else p.upper
+    return Piece(p.lo, p.hi, record, record)
 
 
 def lower_baire(f: HFunction, spec: Optional[DenseSubsetSpec] = None) -> HFunction:
     """Lower envelope operator over the cofinite dense set (default: the
     whole domain).  Real-valued output; equals the lower bound off
-    breakpoints."""
-    return _envelope_function(f, spec or DenseSubsetSpec.whole(), "lower")
+    breakpoints, and reads the lower bound's envelopes only."""
+    spec = spec or DenseSubsetSpec.whole()
+    return _completed(pw.refine(f, spec.excluded), "lower", spec.admits,
+                      lambda lo, hi: Interval(lo, lo))
 
 
 def upper_baire(f: HFunction, spec: Optional[DenseSubsetSpec] = None) -> HFunction:
     """Upper envelope operator, dual to `lower_baire`."""
-    return _envelope_function(f, spec or DenseSubsetSpec.whole(), "upper")
+    spec = spec or DenseSubsetSpec.whole()
+    return _completed(pw.refine(f, spec.excluded), "upper", spec.admits,
+                      lambda lo, hi: Interval(hi, hi))
 
 
 def graph_completion(f: HFunction, spec: Optional[DenseSubsetSpec] = None) -> HFunction:
@@ -91,36 +104,7 @@ def graph_completion(f: HFunction, spec: Optional[DenseSubsetSpec] = None) -> HF
     Raises EnvelopeError when inconsistent declared envelopes make the
     completed value inverted."""
     spec = spec or DenseSubsetSpec.whole()
-    g = pw.refine(f, spec.excluded)
-    points = [
-        SpecialPoint(
-            point.x,
-            pw.completion_at(g, i) if spec.admits(point.x)
-            else pw.punctured_completion_at(g, i),
-        )
-        for i, point in enumerate(g.points)
-    ]
-    return pw.normalize(HFunction(g.domain, tuple(points), tuple(g.pieces)))
-
-
-def _completed_bound(f: HFunction, lower: bool) -> HFunction:
-    """Shared body of `fis` and `fsi`: keep one bound on the pieces and give
-    each breakpoint the hull of that bound's two abutting envelopes
-    (`piecewise.hull_between` of the one-bound pieces)."""
-    # a list, not tuple() over a generator: that tuple is built by resizing,
-    # and such long-lived results raised peak memory on every ring pass
-    pieces = [_bound_piece(p, lower) for p in f.pieces]
-    points = []
-    for i, point in enumerate(f.points):
-        value = Interval(*pw.hull_between(pieces[i], pieces[i + 1]))
-        if not value.is_point and scalar_eq(value.lo, value.hi):
-            # float mode: the composition prunes such a point at its inner
-            # stage, where the value is still a point
-            inner = SpecialPoint(point.x, Interval(value.lo, value.lo))
-            if pw._removable(inner, pieces[i], pieces[i + 1]):
-                value = inner.value
-        points.append(SpecialPoint(point.x, value))
-    return pw.normalize(HFunction(f.domain, tuple(points), tuple(pieces)))
+    return _completed(pw.refine(f, spec.excluded), None, spec.admits, Interval)
 
 
 def fis(f: HFunction) -> HFunction:
@@ -133,7 +117,7 @@ def fis(f: HFunction) -> HFunction:
     docstring).  Always Hausdorff continuous; fixes H-continuous inputs.
     Raises EnvelopeError when the upper bound lacks envelope data at a
     breakpoint."""
-    return _completed_bound(f, lower=False)
+    return _completed(f, "upper", lambda x: False, Interval)
 
 
 def fsi(f: HFunction) -> HFunction:
@@ -141,7 +125,7 @@ def fsi(f: HFunction) -> HFunction:
     with the lower bound and its envelopes in place of the upper.  Here the
     maximum that S takes already lies above everything I puts at the point,
     so again the point value never enters."""
-    return _completed_bound(f, lower=True)
+    return _completed(f, "lower", lambda x: False, Interval)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ outputs are JSON reports and x,lo,hi CSV tables.  All randomness flows
 from --seed, so identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 check failed (routes that disagree included) or
-other engine error, 2 parse or usage error, 3 unbound name, 4 domain error,
-5 operand not Hausdorff continuous, 6 order-limit route requested outside
-the piecewise-linear subclass.
-Engine errors, and the RecursionError of an expression nested too deeply,
-map to codes through the one table `_EXIT_CODES`.
+other engine error, 2 parse or usage error or an unwritable output file,
+3 unbound name, 4 domain error, 5 operand not Hausdorff continuous, 6
+order-limit route requested outside the piecewise-linear subclass.
+Engine errors, the RecursionError of an expression nested too deeply and
+the OSError of an unwritable output map to codes through one table,
+`_EXIT_CODES`.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ _EXIT_CODES = (
     (NotPiecewiseLinear, EXIT_NOT_PL),
     (EngineError, EXIT_FAILED),
     (RecursionError, EXIT_PARSE),  # the expression walkers recurse once per tree level
+    (OSError, EXIT_PARSE),  # an output path that cannot be opened for writing
 )
 
 
@@ -360,15 +362,16 @@ def cmd_compare_defs(args) -> int:
     ops = list(dict.fromkeys(o.strip() for o in args.ops.split(",") if o.strip()))
     if not ops:
         raise _UsageError("--ops names no operation (use plus,times)")
+    unknown = [op for op in ops if op not in ("plus", "times")]
+    if unknown:
+        raise _UsageError(f"unknown op {unknown[0]!r} (use plus,times)")
     report = {}
     csv_rows: List[List[str]] = [["op", "x", "def3_lo", "def3_hi", "def1_lo", "def1_hi"]]
     for op in ops:
         if op == "plus":
             d3 = order.oplus_def3(f, g, depth=args.depth)
-        elif op == "times":
-            d3 = order.otimes_def3(f, g, depth=args.depth)
         else:
-            raise _UsageError(f"unknown op {op!r} (use plus,times)")
+            d3 = order.otimes_def3(f, g, depth=args.depth)
         reference = d3.witnesses["def1"]
         xs = pw.func_sample_points(reference, 256, tag="cmp")
         for x in xs:
@@ -444,7 +447,7 @@ def main(argv=None) -> int:
         with engine_mode(args.mode, args.tol):
             set_seed(args.seed)
             return handlers[args.command](args)
-    except (EngineError, RecursionError) as exc:
+    except (EngineError, RecursionError, OSError) as exc:
         message = "expression nested too deeply" if isinstance(exc, RecursionError) else exc
         sys.stderr.write(f"error: {message}\n")
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

@@ -854,32 +854,27 @@ def hull_between(left: Piece, right: Piece) -> Tuple[Scalar, Scalar]:
     return min(ll.liminf, lr.liminf), max(ul.limsup, ur.limsup)
 
 
-def completion_bounds(f: HFunction, i: int, with_point: bool) -> Tuple[Scalar, Scalar]:
-    """`hull_between` the pieces abutting special point i, widened to the
-    point value when ``with_point``: the breakpoint values of `completion_at`,
-    `punctured_completion_at`, `baire.lower_baire` and `baire.upper_baire`."""
-    lo, hi = hull_between(f.pieces[i], f.pieces[i + 1])
-    if with_point:
-        value = f.points[i].value
+def completion_bounds(left: Piece, right: Piece, value=None) -> Tuple[Scalar, Scalar]:
+    """`hull_between` two neighbouring pieces, widened to the point value
+    (an Interval) between them if given: the one breakpoint value of
+    `completion_at` and of every `baire` envelope operator."""
+    lo, hi = hull_between(left, right)
+    if value is not None:
         lo, hi = min(lo, value.lo), max(hi, value.hi)
     return lo, hi
 
 
-def punctured_completion_at(f: HFunction, i: int) -> Interval:
-    """Graph-completion value at special point i computed from the abutting
-    envelopes only (the point itself excluded from the dense set)."""
-    lo, hi = completion_bounds(f, i, False)
+def completion_at(f: HFunction, i: int, with_point: bool = True) -> Interval:
+    """Graph-completion value at special point i, with the point in the
+    dense set or, unless ``with_point``, excluded from it.  Raises
+    EnvelopeError when inconsistent declared envelopes invert it."""
+    point = f.points[i]
+    lo, hi = completion_bounds(f.pieces[i], f.pieces[i + 1], point.value if with_point else None)
     if lo > hi:
         raise EnvelopeError(
-            f"completion inverted at {format_scalar(f.points[i].x)}: declared envelopes "
-            "inconsistent"
+            f"completion inverted at {format_scalar(point.x)}: declared envelopes inconsistent"
         )
     return Interval(lo, hi)
-
-
-def completion_at(f: HFunction, i: int) -> Interval:
-    """Graph-completion value at special point i with the point included."""
-    return Interval(*completion_bounds(f, i, True))
 
 
 def is_S_continuous(f: HFunction) -> bool:
@@ -907,7 +902,7 @@ def _decide_h_continuous(f: HFunction) -> bool:
         return False
     for i in range(len(f.points)):
         try:
-            target = punctured_completion_at(f, i)
+            target = completion_at(f, i, False)
         except EnvelopeError:
             return False
         if not iv.interval_eq(target, f.points[i].value):
@@ -1060,7 +1055,9 @@ def _check_envelope(bound, at, side, env, piece, eps) -> EnvelopeCheck:
 
 def normalize(f: HFunction) -> HFunction:
     """Canonical form: prune width-0 special points whose value matches the
-    evaluated limits on both sides and whose neighbouring pieces merge.
+    evaluated limits on both sides and whose neighbouring pieces merge.  In
+    float mode width 0 means ends that agree within the tolerance
+    (`_removable`), so a hull of nearly equal limits is pruned like a point.
 
     Whether a point is pruned depends only on its value and the facing ends
     of its two pieces.  A merge keeps the outer ends of the pieces it joins
@@ -1085,10 +1082,12 @@ def normalize(f: HFunction) -> HFunction:
 
 def _removable(point: SpecialPoint, left: Piece, right: Piece) -> bool:
     """Each of the `bound_pairs` holds one expression, whose evaluated limits
-    at the width-0 ``point`` are its value."""
-    if not point.value.is_point:
-        return False
+    at the width-0 ``point`` are its value.  Width 0 is `scalar_eq` of the
+    value's ends: equality in rational mode, agreement within the tolerance
+    in float mode."""
     v = point.value.lo
+    if not scalar_eq(v, point.value.hi):
+        return False
     for p, q in bound_pairs(left, right):
         if p.expr != q.expr or any(
             e is None or not e.is_exact_limit or e.provenance != EVALUATED

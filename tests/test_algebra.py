@@ -1,7 +1,9 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hfring import algebra, baire, scalars
 from hfring import expr as ex
@@ -88,13 +90,14 @@ class TestRingOps:
     def test_operand_continuity_is_decided_once(self, step_pair, monkeypatch):
         f, g = step_pair
         decided = []
-        punctured = pw.punctured_completion_at
+        completion_at = pw.completion_at
 
-        def counted(h, i):
-            decided.append(h)
-            return punctured(h, i)
+        def counted(h, i, with_point=True):
+            if not with_point:
+                decided.append(h)
+            return completion_at(h, i, with_point)
 
-        monkeypatch.setattr(pw, "punctured_completion_at", counted)
+        monkeypatch.setattr(pw, "completion_at", counted)
         first = algebra.oplus_def1(f, g).result
         assert any(h is f for h in decided) and any(h is g for h in decided)
         decided.clear()
@@ -264,3 +267,22 @@ class TestVerifyRing:
         assert not report.axioms["additive_inverse"].passed
         assert not report.axioms["distributive"].passed
         assert report.axioms["additive_inverse"].counterexample
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6),
+       intercept=st.integers(-20, 20), slope=st.integers(-20, 20))
+def test_float_routes_agree_where_limits_agree_within_the_tolerance(seed, intercept, slope):
+    # f + (h - f) at breakpoints on tenths: the limits of the sum at a jump
+    # of f agree within the tolerance but not exactly, and both routes
+    # prune the point as the exact sum h has none
+    with scalars.engine_mode(scalars.FLOAT, 1e-9):
+        f = suite.random_h_continuous(random.Random(seed), abscissa_denominator=10)
+        coeffs = [Fraction(intercept, 10), Fraction(slope, 10)]
+        h = pw.hfunction(f.domain, [], [pw.make_piece(f.domain.lo, f.domain.hi,
+                                                      ex.poly_expr(coeffs))])
+        g = algebra.oplus_def1(h, algebra.additive_inverse(f)).result
+        def1 = algebra.oplus_def1(f, g).result
+        def2 = algebra.oplus_def2(f, g).result
+        assert pw.func_equal(def1, def2)
+        assert pw.func_equal(def1, h) and pw.func_equal(def2, h)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hfring import baire
+from hfring import algebra, baire
 from hfring import expr as ex
 from hfring import interval as iv
 from hfring import piecewise as pw
@@ -188,10 +188,17 @@ def test_closed_form_prunes_where_the_composition_does(float_mode):
             Domain.of(-1, 1), [(x0, Interval(min(vl, vr), max(vl, vr)))],
             [pw.make_piece(-1.0, x0, el), pw.make_piece(x0, 1.0, er)], validate=False,
         )
-    s = pw.pointwise_add(jump([0.1, 0.1], [0.3, 0.1]), jump([0.9, 0.9], [0.7, 0.9]))
+    f, g = jump([0.1, 0.1], [0.3, 0.1]), jump([0.9, 0.9], [0.7, 0.9])
+    s = pw.pointwise_add(f, g)
     assert s.pieces[0].upper.right != s.pieces[1].upper.left
     _assert_closed_form_matches(s)
     assert baire.fis(s).points == ()
+    # the extension route completes the hull of the two limits, and prunes
+    # it as well
+    assert baire.graph_completion(s, DenseSubsetSpec.excluding(x0)).points == ()
+    extended = algebra.oplus_def2(f, g).result
+    assert extended.points == ()
+    assert pw.func_equal(extended, algebra.oplus_def1(f, g).result)
 
 
 def test_closed_form_needs_envelopes_at_breakpoints(step_pair):
@@ -205,6 +212,18 @@ def test_closed_form_needs_envelopes_at_breakpoints(step_pair):
     for operator in (baire.fis, baire.fsi):
         with pytest.raises(EnvelopeError, match="missing envelope"):
             operator(bare)
+
+
+def test_envelope_operators_read_only_the_bound_they_keep(step_pair):
+    f, _ = step_pair
+    left = f.pieces[0]
+    no_upper = pw.HFunction(f.domain, f.points, (
+        pw.Piece(left.lo, left.hi, left.lower, left.upper._replace(right=None)),
+        f.pieces[1],
+    ))
+    assert baire.lower_baire(no_upper).eval_at(0) == Interval.of(0, 0)
+    with pytest.raises(EnvelopeError, match="missing envelope"):
+        baire.upper_baire(no_upper)
 
 
 class TestIsotonicity:

@@ -261,6 +261,22 @@ class TestOp:
             assert cli.main(["op", STEP, "f + g", "--check-all"]) == 1
             assert "def2 deviates from def1" in capsys.readouterr().err
 
+    def test_float_routes_agree_on_limits_within_the_tolerance(self, tmp_path):
+        # the limits of f + g at 0.3 are 0.2 and 0.19999999999999998: the
+        # completion route prunes the point, and so must the extension route
+        defs = tmp_path / "fp.json"
+        defs.write_text(json.dumps({"functions": {
+            "f": {"domain": [-1, 1], "pieces": [{"on": [-1, 0.3], "lower": "x"},
+                                                {"on": [0.3, 1], "lower": "x + 0.1"}],
+                  "points": [{"x": 0.3, "value": [0.3, 0.4]}]},
+            "g": {"domain": [-1, 1], "pieces": [{"on": [-1, 0.3], "lower": "0.2 - x"},
+                                                {"on": [0.3, 1], "lower": "0.1 - x"}],
+                  "points": [{"x": 0.3, "value": [-0.2, -0.1]}]}}}))
+        out = run_cli("--mode", "float", "op", str(defs), "f + g", "--check-all").stdout
+        result = json.loads(out)
+        assert result["points"] == []
+        assert [piece["lower"] for piece in result["pieces"]] == ["0.2"]
+
     def test_check_all_skips_def3_for_a_declared_envelope(self):
         declare = ["--declare", "0", "0", "0"]
         plain = run_cli("op", STEP, "f + g", *declare).stdout
@@ -402,6 +418,16 @@ class TestCompareDefs:
         rows = csv_path.read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["times"] * 256 + ["plus"] * 256
 
+    def test_unknown_op_is_refused_before_any_route_runs(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        oplus_def3 = order.oplus_def3
+        monkeypatch.setattr(order, "oplus_def3",
+                            lambda *args, **kw: calls.append(1) or oplus_def3(*args, **kw))
+        assert cli.main(["compare-defs", STEP, "f", "g", "--depth", "32", "--ops", "plus,bogus",
+                         "--out-csv", str(tmp_path / "points.csv")]) == 2
+        assert "unknown op 'bogus'" in capsys.readouterr().err
+        assert calls == []
+
     def test_outside_the_piecewise_linear_subclass_exit_6(self, tmp_path):
         run_cli("--mode", "float", "compare-defs", OSC, "f", "g",
                 "--out-csv", str(tmp_path / "points.csv"), expect=6)
@@ -520,6 +546,18 @@ def test_bad_number_exit_2(argv, tmp_path, capsys):
     argv = [str(tmp_path / "out.csv") if arg == "OUT" else arg for arg in argv]
     assert _exit_code(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["op", STEP, "f + g", "-o", "OUT"],
+    ["sample", STEP, "f", "0", "1", "3", "OUT"],
+    ["compare-defs", STEP, "f", "g", "--depth", "32", "--out-csv", "OUT"],
+], ids=["op", "sample", "compare-defs"])
+def test_unwritable_output_exit_2(argv, tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "out"
+    assert cli.main([str(out) if arg == "OUT" else arg for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("lower, upper, argv, code, pattern", [

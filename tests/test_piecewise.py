@@ -890,10 +890,26 @@ class TestCompletionBounds:
              pw.make_piece(F(0), F(1), ex.parse("1"))],
             validate=False,
         )
-        assert pw.completion_bounds(f, 0, True) == (-1, 2)
-        assert pw.completion_bounds(f, 0, False) == (0, 1)
+        left, right = f.pieces
+        assert pw.completion_bounds(left, right, f.points[0].value) == (-1, 2)
+        assert pw.completion_bounds(left, right) == (0, 1)
         assert pw.completion_at(f, 0) == Interval.of(-1, 2)
-        assert pw.punctured_completion_at(f, 0) == Interval.of(0, 1)
+        assert pw.completion_at(f, 0, False) == Interval.of(0, 1)
+
+    def test_inverted_declaration(self):
+        # both lower records declare limits above both upper ones
+        above = pw.EndEnvelope(F(2), F(2), pw.DECLARED)
+        pieces = [pw.make_piece(F(-1), F(0), ex.parse("0"), ex.parse("1")),
+                  pw.make_piece(F(0), F(1), ex.parse("0"), ex.parse("1"))]
+        left, right = (pw.Piece(p.lo, p.hi, p.lower._replace(**{side: above}), p.upper)
+                       for p, side in zip(pieces, ("right", "left")))
+        f = pw.HFunction(Domain.of(-1, 1), (pw.SpecialPoint(F(0), Interval.of(0, 1)),),
+                         (left, right))
+        assert pw.completion_at(f, 0) == Interval.of(0, 1)
+        with pytest.raises(EnvelopeError, match="completion inverted at 0"):
+            pw.completion_at(f, 0, False)
+        with pytest.raises(EnvelopeError, match="completion inverted at 0"):
+            baire.graph_completion(f, pw.DenseSubsetSpec.excluding(0))
 
 
 class TestIdentitySurrogate:
@@ -902,7 +918,7 @@ class TestIdentitySurrogate:
         # completion recovers every special value
         for f in suite.h_continuous_suite(7, 25):
             points = [
-                (p.x, pw.punctured_completion_at(f, i))
+                (p.x, pw.completion_at(f, i, False))
                 for i, p in enumerate(f.points)
             ]
             rebuilt = pw.hfunction(f.domain, points, f.pieces, validate=False)
