@@ -90,7 +90,7 @@ from .piecewise import (
     pointwise_neg,
     validate_envelopes,
 )
-from .scalars import FLOAT, RATIONAL, engine_mode, get_mode, set_mode, set_seed
+from .scalars import FLOAT, RATIONAL, engine_mode, get_mode
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from . import piecewise as pw
-from .errors import DomainError, EngineError, EnvelopeError
+from .errors import DomainError, EngineError
 from .interval import Interval
 from .piecewise import DenseSubsetSpec, HFunction, Piece, SpecialPoint
 from .scalars import Scalar, format_scalar, format_span, to_scalar
@@ -57,8 +57,7 @@ def _completed(
     """The one pass of every envelope operator: keep ``bound`` ("lower",
     "upper", or None for both) on the pieces, and give each breakpoint
     ``pick(lo, hi)`` of the kept pieces' `completion_bounds`, widened by the
-    point value where ``admits`` the point.  Raises EnvelopeError where the
-    result is inverted."""
+    point value where ``admits`` the point."""
     # a list, not tuple() over a generator: that tuple is built by resizing,
     # and such long-lived results raised peak memory on every ring pass
     pieces = [_bound_piece(p, bound) for p in g.pieces]
@@ -66,9 +65,6 @@ def _completed(
     for i, point in enumerate(g.points):
         value = point.value if admits(point.x) else None
         lo, hi = pw.completion_bounds(pieces[i], pieces[i + 1], value)
-        if lo > hi:
-            raise EnvelopeError(f"completion inverted at {format_scalar(point.x)}: "
-                                "declared envelopes inconsistent")
         points.append(SpecialPoint(point.x, pick(lo, hi)))
     return pw.normalize(HFunction(g.domain, tuple(points), tuple(pieces)))
 

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .interval import distance as iv_distance
 from .piecewise import Domain, HFunction
-from .scalars import Scalar, engine_mode, format_scalar, get_seed, set_seed, to_scalar
+from .scalars import Scalar, engine_mode, format_scalar, to_scalar
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -442,17 +442,13 @@ def main(argv=None) -> int:
         "compare-defs": cmd_compare_defs,
         "validate": cmd_validate,
     }
-    seed = get_seed()
     try:
-        with engine_mode(args.mode, args.tol):
-            set_seed(args.seed)
+        with engine_mode(args.mode, args.tol, args.seed):
             return handlers[args.command](args)
     except (EngineError, RecursionError, OSError) as exc:
         message = "expression nested too deeply" if isinstance(exc, RecursionError) else exc
         sys.stderr.write(f"error: {message}\n")
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
-    finally:
-        set_seed(seed)
 
 
 if __name__ == "__main__":

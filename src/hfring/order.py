@@ -36,6 +36,8 @@ ConvergenceError in rational mode.
 route, and `func_leq` read the two functions by `piecewise.walk` as well:
 its points with both values, then each span with both covering pieces and
 their cut records, of which the scan and these two read the pieces only.
+Like the scan and `func_equal`, both compare each span's
+`piecewise.bound_pairs`, so a span of two real pieces is measured once.
 `max_deviation` is an exact supremum on every span where the bound
 difference is constant, or a polynomial of degree <= 2 on a bounded span
 (every span of a def3 operation on a bounded domain); it samples only the
@@ -469,7 +471,7 @@ def max_deviation(f: HFunction, g: HFunction) -> Scalar:
 
     Both are read over the union of their special points by
     `piecewise.walk`; the values there are compared directly.  On each span
-    between them each bound contributes the
+    between them each of the `piecewise.bound_pairs` contributes the
     sup of |difference|: 0 for identical expressions, |c| for a constant
     difference c, and for a polynomial difference of degree <= 2 on a
     bounded piece the largest |difference| at the two ends (one-sided
@@ -483,11 +485,9 @@ def max_deviation(f: HFunction, g: HFunction) -> Scalar:
         worst = max(worst, iv.distance(u, v))
     per_piece = max(1, 1000 // len(spans))
     for i, (lo, hi, a, _, b, _) in enumerate(spans):
-        for bound, ea, eb in (
-            ("lower", a.lower.expr, b.lower.expr), ("upper", a.upper.expr, b.upper.expr)
-        ):
-            if ea != eb:
-                d = _bound_deviation(ea, eb, lo, hi, per_piece, ("dev", i, bound))
+        for bound, (p, q) in zip(("lower", "upper"), pw.bound_pairs(a, b)):
+            if p.expr != q.expr:
+                d = _bound_deviation(p.expr, q.expr, lo, hi, per_piece, ("dev", i, bound))
                 worst = max(worst, d)
     return worst
 

@@ -857,24 +857,23 @@ def hull_between(left: Piece, right: Piece) -> Tuple[Scalar, Scalar]:
 def completion_bounds(left: Piece, right: Piece, value=None) -> Tuple[Scalar, Scalar]:
     """`hull_between` two neighbouring pieces, widened to the point value
     (an Interval) between them if given: the one breakpoint value of
-    `completion_at` and of every `baire` envelope operator."""
+    `completion_at` and of every `baire` envelope operator.  Raises
+    EnvelopeError when inconsistent declared envelopes invert it."""
     lo, hi = hull_between(left, right)
     if value is not None:
         lo, hi = min(lo, value.lo), max(hi, value.hi)
+    if lo > hi:
+        raise EnvelopeError(
+            f"completion inverted at {format_scalar(left.hi)}: declared envelopes inconsistent"
+        )
     return lo, hi
 
 
 def completion_at(f: HFunction, i: int, with_point: bool = True) -> Interval:
     """Graph-completion value at special point i, with the point in the
-    dense set or, unless ``with_point``, excluded from it.  Raises
-    EnvelopeError when inconsistent declared envelopes invert it."""
-    point = f.points[i]
-    lo, hi = completion_bounds(f.pieces[i], f.pieces[i + 1], point.value if with_point else None)
-    if lo > hi:
-        raise EnvelopeError(
-            f"completion inverted at {format_scalar(point.x)}: declared envelopes inconsistent"
-        )
-    return Interval(lo, hi)
+    dense set or, unless ``with_point``, excluded from it."""
+    value = f.points[i].value if with_point else None
+    return Interval(*completion_bounds(f.pieces[i], f.pieces[i + 1], value))
 
 
 def is_S_continuous(f: HFunction) -> bool:

@@ -1,11 +1,14 @@
 """Engine configuration and scalar arithmetic.
 
-Two scalar modes are supported, selected process-wide: exact rationals
-(``fractions.Fraction``) for piecewise-linear and polynomial work, where
-identities are checked with literal equality, and binary floats with a
-comparison tolerance for transcendental pieces.  Modes are never mixed
-inside one computation; callers switch with `set_mode` or the
-`engine_mode` context manager.
+Two scalar modes are supported: exact rationals (``fractions.Fraction``)
+for piecewise-linear and polynomial work, where identities are checked
+with literal equality, and binary floats with a comparison tolerance for
+transcendental pieces.  Modes are never mixed inside one computation.
+
+The mode, the float tolerance and the sampling seed form one frozen
+`EngineConfig` in a `contextvars.ContextVar`, as `decimal` keeps its
+context: each thread or asyncio task has its own, and a new thread starts
+from the defaults.  `engine_mode` is the one way to change it.
 
 Float mode performs no directed rounding: endpoints are computed with
 ordinary nearest rounding, so results are set-theoretic values up to the
@@ -24,8 +27,9 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import EngineError, NumericRangeError
 
@@ -37,58 +41,60 @@ Scalar = Union[Fraction, float]
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_SEED = 8201
 
-_mode = RATIONAL
-_tolerance = DEFAULT_TOLERANCE
-_seed = DEFAULT_SEED
+
+class EngineConfig(NamedTuple):
+    """The settings every answer depends on."""
+
+    mode: str
+    tolerance: float
+    seed: int
 
 
-def set_mode(mode: str, tolerance: Optional[float] = None) -> None:
-    """Select the scalar mode ("rational" or "float") for the process."""
-    global _mode, _tolerance
-    if mode not in (RATIONAL, FLOAT):
-        raise EngineError(f"unknown mode {mode!r}")
-    if tolerance is not None and not 0 < tolerance < math.inf:
-        raise EngineError(f"tolerance must be finite and positive, not {tolerance!r}")
-    _mode = mode
-    if tolerance is not None:
-        _tolerance = tolerance
+_config: ContextVar[EngineConfig] = ContextVar(
+    "hfring_engine_config", default=EngineConfig(RATIONAL, DEFAULT_TOLERANCE, DEFAULT_SEED))
 
 
 def get_mode() -> str:
-    return _mode
+    return _config.get().mode
 
 
 def get_tolerance() -> float:
-    return _tolerance
+    return _config.get().tolerance
+
+
+def get_seed() -> int:
+    """Seed for every deterministic pseudo-random sampling in the engine."""
+    return _config.get().seed
 
 
 def comparison_slack() -> float:
     """Slack of an order comparison: the tolerance in float mode, and the
     integer 0 in rational mode, so that a rational compared against it
     stays exact."""
-    return _tolerance if _mode == FLOAT else 0
-
-
-def set_seed(seed: int) -> None:
-    """Seed for every deterministic pseudo-random sampling in the engine."""
-    global _seed
-    _seed = int(seed)
-
-
-def get_seed() -> int:
-    return _seed
+    config = _config.get()
+    return config.tolerance if config.mode == FLOAT else 0
 
 
 @contextmanager
-def engine_mode(mode: str, tolerance: Optional[float] = None) -> Iterator[None]:
-    """Temporarily switch scalar mode (used heavily by tests)."""
-    global _mode, _tolerance
-    saved = (_mode, _tolerance)
+def engine_mode(mode: Optional[str] = None, tolerance: Optional[float] = None,
+                seed: Optional[int] = None) -> Iterator[None]:
+    """Run the block with the given settings (None keeps the current one),
+    then restore the whole configuration, whichever way the block exits.
+    Invalid settings raise EngineError before anything changes."""
+    current = _config.get()
+    if mode is not None and mode not in (RATIONAL, FLOAT):
+        raise EngineError(f"unknown mode {mode!r}")
+    if tolerance is not None and not 0 < tolerance < math.inf:
+        raise EngineError(f"tolerance must be finite and positive, not {tolerance!r}")
+    token = _config.set(EngineConfig(
+        current.mode if mode is None else mode,
+        current.tolerance if tolerance is None else tolerance,
+        current.seed if seed is None else int(seed),
+    ))
     try:
-        set_mode(mode, tolerance)
         yield
     finally:
-        _mode, _tolerance = saved
+        _config.reset(token)
 
 
 def to_scalar(value) -> Scalar:
@@ -103,7 +109,7 @@ def to_scalar(value) -> Scalar:
             value = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise EngineError(f"not a number: {value!r}") from exc
-    if _mode == RATIONAL:
+    if _config.get().mode == RATIONAL:
         if isinstance(value, Fraction):
             return value
         if isinstance(value, int):
@@ -138,9 +144,10 @@ def scalar_eq(a: Scalar, b: Scalar) -> bool:
     """Equality test: exact for rationals, within tolerance for floats."""
     if a is b:
         return True
-    if _mode == RATIONAL:
+    config = _config.get()
+    if config.mode == RATIONAL:
         return a == b
-    return abs(a - b) <= _tolerance
+    return abs(a - b) <= config.tolerance
 
 
 def format_scalar(a: Scalar) -> str:

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import pytest
 
@@ -10,14 +11,24 @@ from hfring.piecewise import Domain
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
+# hypothesis imports this module (and through it libcst) only once a
+# property has failed; some libcst releases raise a DeprecationWarning on
+# import, which under `-W error` aborts the whole run with INTERNALERROR
+# instead of reporting the failure.  Importing it here, warnings muted,
+# leaves nothing to warn later.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
+
 
 @pytest.fixture(autouse=True)
 def rational_mode():
     """Each test starts in exact mode with default settings."""
-    scalars.set_mode(scalars.RATIONAL)
-    scalars.set_seed(scalars.DEFAULT_SEED)
-    yield
-    scalars.set_mode(scalars.RATIONAL, scalars.DEFAULT_TOLERANCE)
+    with scalars.engine_mode(scalars.RATIONAL, scalars.DEFAULT_TOLERANCE, scalars.DEFAULT_SEED):
+        yield
 
 
 def make_step_pair():
@@ -70,9 +81,8 @@ def step_pair():
 
 @pytest.fixture
 def float_mode():
-    scalars.set_mode(scalars.FLOAT, 1e-9)
-    yield
-    scalars.set_mode(scalars.RATIONAL, scalars.DEFAULT_TOLERANCE)
+    with scalars.engine_mode(scalars.FLOAT, 1e-9):
+        yield
 
 
 @pytest.fixture

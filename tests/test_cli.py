@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -604,6 +605,31 @@ def test_settings_last_for_one_command(argv, code, capsys):
     assert (scalars.get_mode(), scalars.get_tolerance(), scalars.get_seed()) == (
         scalars.RATIONAL, scalars.DEFAULT_TOLERANCE, scalars.DEFAULT_SEED)
     assert scalars.to_scalar("1/3") == Fraction(1, 3)
+
+
+def test_command_in_a_worker_thread_leaves_the_caller_alone(monkeypatch, capsys):
+    inside, leave = threading.Event(), threading.Event()
+    validate, codes = cli.cmd_validate, []
+
+    def held_validate(args):
+        inside.set()
+        leave.wait(30)
+        return validate(args)
+
+    monkeypatch.setattr(cli, "cmd_validate", held_validate)
+    argv = ["--mode", "float", "--tol", "1e-6", "--seed", "7", "validate", OSC]
+    thread = threading.Thread(target=lambda: codes.append(cli.main(argv)))
+    thread.start()
+    try:
+        assert inside.wait(30)
+        assert (scalars.get_mode(), scalars.get_tolerance(), scalars.get_seed()) == (
+            scalars.RATIONAL, scalars.DEFAULT_TOLERANCE, scalars.DEFAULT_SEED)
+        assert scalars.to_scalar("1/3") == Fraction(1, 3)
+    finally:
+        leave.set()
+        thread.join(60)
+    assert not thread.is_alive()
+    assert codes == [0]
 
 
 def test_parser_is_built_once_and_keeps_no_declarations(monkeypatch):

@@ -164,8 +164,8 @@ class TestPolyNode:
 
     def test_float_mode_evaluates_poly(self):
         p = ex.canonical(ex.parse("x*x - 1/3*x + 5"))
-        scalars.set_mode(scalars.FLOAT)
-        assert ex.evaluator(p)(3.0) == pytest.approx(13.0)
+        with scalars.engine_mode(scalars.FLOAT):
+            assert ex.evaluator(p)(3.0) == pytest.approx(13.0)
 
 
 class TestEvaluation:
@@ -182,12 +182,11 @@ class TestEvaluation:
     def test_transcendental_needs_float_mode(self):
         with pytest.raises(ExprEvalError):
             ex.evaluator(ex.parse("sin(x)"))(Fraction(0))
-        scalars.set_mode(scalars.FLOAT)
-        assert abs(ex.evaluator(ex.parse("sin(x)"))(0.0)) < 1e-15
+        with scalars.engine_mode(scalars.FLOAT):
+            assert abs(ex.evaluator(ex.parse("sin(x)"))(0.0)) < 1e-15
 
     def test_sqrt_domain_error(self):
-        scalars.set_mode(scalars.FLOAT)
-        with pytest.raises(ExprEvalError):
+        with scalars.engine_mode(scalars.FLOAT), pytest.raises(ExprEvalError):
             ex.evaluator(ex.parse("sqrt(x)"))(-1.0)
 
 

@@ -32,8 +32,8 @@ class TestScalars:
             assert value == pw.to_scalar(text)
 
     def test_float_mode_uses_numbers(self):
-        scalars.set_mode(scalars.FLOAT)
-        assert formats.scalar_to_json(0.5) == 0.5
+        with scalars.engine_mode(scalars.FLOAT):
+            assert formats.scalar_to_json(0.5) == 0.5
 
     def test_interval_point_collapses(self):
         assert formats.interval_to_json(Interval.of(2, 2)) == 2

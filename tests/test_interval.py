@@ -1,4 +1,5 @@
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -55,19 +56,44 @@ class TestBasics:
         assert iv.width(I(4)) == 0
 
     def test_float_overflow_reported(self):
-        scalars.set_mode(scalars.FLOAT)
-        big = I(1e308, 1e308)
-        with pytest.raises(NumericRangeError):
-            iv.add(big, big)
-        with pytest.raises(NumericRangeError):
-            iv.mul(big, big)
+        with scalars.engine_mode(scalars.FLOAT):
+            big = I(1e308, 1e308)
+            with pytest.raises(NumericRangeError):
+                iv.add(big, big)
+            with pytest.raises(NumericRangeError):
+                iv.mul(big, big)
 
     @pytest.mark.parametrize("tolerance", [0, -1.0, float("nan"), float("inf")])
     def test_tolerance_must_be_finite_and_positive(self, tolerance):
         with pytest.raises(EngineError, match="finite and positive"):
-            scalars.set_mode(scalars.FLOAT, tolerance)
-        assert scalars.get_mode() == scalars.RATIONAL  # a refused call changes nothing
-        assert scalars.get_tolerance() == scalars.DEFAULT_TOLERANCE
+            with scalars.engine_mode(scalars.FLOAT, tolerance, seed=5):
+                pass
+        # a refused call changes nothing
+        assert (scalars.get_mode(), scalars.get_tolerance(), scalars.get_seed()) == (
+            scalars.RATIONAL, scalars.DEFAULT_TOLERANCE, scalars.DEFAULT_SEED)
+
+    def test_engine_mode_restores_the_seed(self):
+        with scalars.engine_mode(seed=5):
+            assert scalars.get_seed() == 5
+        assert scalars.get_seed() == scalars.DEFAULT_SEED
+
+    def test_settings_belong_to_one_thread(self):
+        inside, leave = threading.Event(), threading.Event()
+
+        def worker():
+            with scalars.engine_mode(scalars.FLOAT):
+                inside.set()
+                leave.wait(30)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        try:
+            assert inside.wait(30)
+            assert scalars.to_scalar("1/3") == Fraction(1, 3)
+        finally:
+            leave.set()
+            thread.join(30)
+        assert not thread.is_alive()
 
 
 def _rand_interval(rng):

@@ -420,6 +420,15 @@ class TestMaxDeviation:
         dom = Domain.of(0, 1)
         assert order.max_deviation(_one_piece(dom, "0"), _one_piece(dom, "x*x")) == 1
 
+    def test_real_pieces_are_measured_once(self, monkeypatch):
+        calls = []
+        measure = order._bound_deviation
+        monkeypatch.setattr(order, "_bound_deviation",
+                            lambda *args: calls.append(args[-1]) or measure(*args))
+        dom = Domain.of(0, 1)
+        assert order.max_deviation(_one_piece(dom, "x*x"), _one_piece(dom, "0")) == 1
+        assert calls == [("dev", 0, "lower")]
+
     def test_quadratic_sup_at_the_vertex(self):
         dom = Domain.of(0, 1)
         dev = order.max_deviation(_one_piece(dom, "0"), _one_piece(dom, "x - x*x"))

@@ -874,11 +874,11 @@ class TestContinuityPredicates:
         )
         verdicts = []
         for tolerance in (1e-3, 1e-9, 1e-3):
-            scalars.set_mode(scalars.FLOAT, tolerance)
-            verdicts.append(pw.is_H_continuous(f))
+            with scalars.engine_mode(scalars.FLOAT, tolerance):
+                verdicts.append(pw.is_H_continuous(f))
         assert verdicts == [True, False, True]
-        scalars.set_mode(scalars.RATIONAL)
-        assert not pw.is_H_continuous(f)
+        with scalars.engine_mode(scalars.RATIONAL):
+            assert not pw.is_H_continuous(f)
 
 
 class TestCompletionBounds:
